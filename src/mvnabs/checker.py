@@ -38,6 +38,19 @@ certifies trace inclusion.  The surviving family at the fixpoint is the
 greatest closed subfamily, so the verdict does not depend on sweep
 order.  Successor sets are a pure function of (S, Gamma), so terms are
 keyed by that pair and the closure test scans one family.
+
+Each check computes its tables once: the image of every concrete state
+(one ``phi.apply`` each), every class as a list in lexicographic order,
+the closure of every concrete state and, per concrete state g, the
+derived sets of {g} alone as bitmasks over the successor classes,
+packed into one integer.  A subset Gamma of a class is a bitmask too,
+and its derived sets are the OR of its members' entries.  The subsets
+are walked in ``itertools.combinations`` order (by size, then
+lexicographically), and each one's derived sets are those of the
+subset without its top member ORed with the top member's own, so a
+class of k states costs 2^k ORs and one table of 2^k integers.
+Validity is a bit test on the packed value; ``StepTerm`` objects are
+built only for valid subsets, with one shared frozenset per bitmask.
 """
 
 from __future__ import annotations
@@ -56,7 +69,9 @@ from .model import GlobalState, Mvn
 from .semantics import ASYNC, StateGraph, build_state_graph
 
 # Step terms are enumerated over all nonempty subsets of a concrete
-# class, so class sizes beyond this would be hopeless anyway.
+# class and every valid one is materialised as a ``StepTerm``, so time
+# and memory still grow as 2^|class|; past this size a check would not
+# finish in useful time.
 MAX_CLASS_SIZE = 20
 
 StateSet = frozenset[GlobalState]
@@ -78,24 +93,32 @@ def concrete_class(phi: AbstractionMapping, state: GlobalState) -> StateSet:
     )
 
 
-def _closure(graph: StateGraph, phi: AbstractionMapping, start: GlobalState) -> StateSet:
-    image = phi.apply(start)
+def _images(graph: StateGraph, phi: AbstractionMapping) -> dict[GlobalState, GlobalState]:
+    """The image under ``phi`` of every state of ``graph``."""
+    return {u: phi.apply(u) for u in graph.nodes}
+
+
+def _image_closure(
+    succ: dict[GlobalState, tuple[GlobalState, ...]],
+    image: dict[GlobalState, GlobalState],
+    start: GlobalState,
+) -> StateSet:
+    """Least set containing ``start`` and closed under same-image steps."""
+    target = image[start]
     seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.succ[u]:
-                if v not in seen and phi.apply(v) == image:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
+    stack = [start]
+    while stack:
+        for v in succ[stack.pop()]:
+            if v not in seen and image[v] == target:
+                seen.add(v)
+                stack.append(v)
     return frozenset(seen)
 
 
 def consec_closure(mv2: Mvn, phi: AbstractionMapping, state: GlobalState) -> StateSet:
     """Least set containing ``state`` and closed under same-image steps."""
-    return _closure(build_state_graph(mv2, ASYNC), phi, state)
+    graph = build_state_graph(mv2, ASYNC)
+    return _image_closure(graph.succ, _images(graph, phi), state)
 
 
 @dataclass(frozen=True)
@@ -121,8 +144,57 @@ class StepTerm:
         raise KeyError(abstract_succ)
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The derived sets of one abstract state S, packed into one int.
+
+    A subset of a class is a bitmask over the class in lexicographic
+    order.  ``slots`` gives, for each abstract successor S_i, the bit
+    offset and the all-ones mask of its slot; the slot is a bitmask
+    over class(S_i), with one guard bit above it that stays 0.
+    ``post[j]`` packs the derived sets of class member j alone, so the
+    derived sets of a subset are the OR of its members' entries.  Adding
+    ``fill`` (every slot all ones) carries into a slot's guard bit
+    exactly when the slot is nonzero, so a packed value ``t`` has no
+    empty derived set iff ``(t + fill) & guards == guards``.
+    ``unsettleable`` marks the members that cannot settle; it is used
+    only when S has no abstract successors.
+    """
+
+    slots: tuple[tuple[GlobalState, int, int], ...]
+    post: tuple[int, ...]
+    fill: int
+    guards: int
+    unsettleable: int
+
+
+class _Subsets(dict):
+    """Bitmask -> the members of one class it selects, built on first use.
+
+    One frozenset per mask, shared by every term that refers to it.
+    """
+
+    def __init__(self, klass: list[GlobalState]):
+        super().__init__()
+        self.klass = klass
+
+    def __missing__(self, mask: int) -> StateSet:
+        # bin() lists the bits high to low; reversed, bit j meets klass[j]
+        bits = map(int, bin(mask)[:1:-1])
+        found = self[mask] = frozenset(itertools.compress(self.klass, bits))
+        return found
+
+
 class _Context:
-    """Shared per-check data: both graphs and memoised closures."""
+    """Shared per-check data, each piece computed once per check.
+
+    ``image`` holds the image of every concrete state, ``classes`` every
+    abstract state's class in lexicographic order and ``index`` each
+    concrete state's position in its class.  Closures, settleability,
+    the packed derived sets of each abstract state (:class:`_Layout`)
+    and the state set of each bitmask (``_subsets``) are memoised on
+    first use.
+    """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
         require_same_structure(mv1, mv2)
@@ -132,12 +204,21 @@ class _Context:
         self.phi = phi
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
+        self.image = _images(self.g2, phi)
+        self.classes: dict[GlobalState, list[GlobalState]] = {s: [] for s in self.g1.nodes}
+        self.index: dict[GlobalState, int] = {}
+        for u in self.g2.nodes:  # lexicographic, so every class is sorted
+            klass = self.classes[self.image[u]]
+            self.index[u] = len(klass)
+            klass.append(u)
         self._closures: dict[GlobalState, StateSet] = {}
         self._settleable: dict[GlobalState, bool] = {}
+        self._layouts: dict[GlobalState, _Layout] = {}
+        self._subsets = {s: _Subsets(klass) for s, klass in self.classes.items()}
 
     def closure(self, state: GlobalState) -> StateSet:
         if state not in self._closures:
-            self._closures[state] = _closure(self.g2, self.phi, state)
+            self._closures[state] = _image_closure(self.g2.succ, self.image, state)
         return self._closures[state]
 
     def settleable(self, state: GlobalState) -> bool:
@@ -173,54 +254,104 @@ class _Context:
                 self._settleable[state] = remaining > 0
         return self._settleable[state]
 
-    def step_term(self, state: GlobalState, gamma: StateSet) -> StepTerm:
-        klass = concrete_class(self.phi, state)
-        if not gamma or not gamma <= klass:
-            raise GammaOutOfClassError(
-                f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
-            )
-        abstract_succs = self.g1.succ[state]
-        successors = []
-        reason = None
-        for s_i in abstract_succs:
-            t = set()
-            for g in gamma:
+    def _class(self, state: GlobalState) -> list[GlobalState]:
+        if state not in self.classes:
+            raise ValueError(f"state {state} is outside the abstract state space")
+        return self.classes[state]
+
+    def _layout(self, state: GlobalState) -> _Layout:
+        if state not in self._layouts:
+            succs = self.g1.succ[state]
+            slots, offset, fill, guards = [], 0, 0, 0
+            for s_i in succs:
+                width = len(self.classes[s_i])
+                ones = (1 << width) - 1
+                slots.append((s_i, offset, ones))
+                fill |= ones << offset
+                guards |= 1 << (offset + width)
+                offset += width + 1
+            offset_of = {s_i: off for s_i, off, _ in slots}
+            post = []
+            for g in self.classes[state]:
+                packed = 0
                 for u in self.closure(g):
                     for v in self.g2.succ[u]:
-                        if self.phi.apply(v) == s_i:
-                            t.add(v)
-            successors.append((s_i, frozenset(t)))
+                        off = offset_of.get(self.image[v])
+                        if off is not None:
+                            packed |= 1 << (off + self.index[v])
+                post.append(packed)
+            unsettleable = 0
+            if not succs:
+                for j, g in enumerate(self.classes[state]):
+                    if not self.settleable(g):
+                        unsettleable |= 1 << j
+            self._layouts[state] = _Layout(
+                tuple(slots), tuple(post), fill, guards, unsettleable
+            )
+        return self._layouts[state]
+
+    def _term(self, state: GlobalState, layout: _Layout, mask: int, packed: int) -> StepTerm:
+        successors = []
+        reason = None
+        for s_i, offset, ones in layout.slots:
+            t = packed >> offset & ones
+            successors.append((s_i, self._subsets[s_i][t]))
             if not t and reason is None:
                 reason = f"no concrete step realises {state} -> {s_i}"
-        if not abstract_succs and reason is None:
-            for g in sorted(gamma):
-                if not self.settleable(g):
-                    reason = (
-                        f"{state} is a point attractor but every maximal run "
-                        f"from {g} leaves its image class"
-                    )
-                    break
+        stuck = mask & layout.unsettleable
+        if stuck and reason is None:
+            # The lowest bit is the first unsettleable member in order.
+            g = self.classes[state][(stuck & -stuck).bit_length() - 1]
+            reason = (
+                f"{state} is a point attractor but every maximal run "
+                f"from {g} leaves its image class"
+            )
         return StepTerm(
             state=state,
-            gamma=gamma,
+            gamma=self._subsets[state][mask],
             successors=tuple(successors),
             valid=reason is None,
             invalid_reason=reason,
         )
 
+    def step_term(self, state: GlobalState, gamma: StateSet) -> StepTerm:
+        self._class(state)
+        if not gamma or any(self.image.get(g) != state for g in gamma):
+            raise GammaOutOfClassError(
+                f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
+            )
+        layout = self._layout(state)
+        mask = packed = 0
+        for g in gamma:
+            mask |= 1 << self.index[g]
+            packed |= layout.post[self.index[g]]
+        return self._term(state, layout, mask, packed)
+
     def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
-        klass = sorted(concrete_class(self.phi, state))
+        """Valid terms in the order: subsets by size, then lexicographic.
+
+        The derived sets of each subset are those of the subset without
+        its top member, ORed with the top member's own.
+        """
+        klass = self._class(state)
         if len(klass) > MAX_CLASS_SIZE:
             raise ClassTooLargeError(
                 f"abstract state {state} has {len(klass)} concrete states; "
                 f"subset enumeration is capped at {MAX_CLASS_SIZE}"
             )
+        layout = self._layout(state)
+        fill, guards, unsettleable = layout.fill, layout.guards, layout.unsettleable
+        bits = [1 << j for j in range(len(klass))]
+        post = dict(zip(bits, layout.post))
+        derived = [0] * (1 << len(klass))
         terms = []
         for r in range(1, len(klass) + 1):
-            for combo in itertools.combinations(klass, r):
-                term = self.step_term(state, frozenset(combo))
-                if term.valid:
-                    terms.append(term)
+            for combo in itertools.combinations(bits, r):
+                top = combo[-1]
+                mask = sum(combo)
+                packed = derived[mask] = derived[mask - top] | post[top]
+                if (packed + fill) & guards == guards and not mask & unsettleable:
+                    terms.append(self._term(state, layout, mask, packed))
         return terms
 
 
@@ -342,7 +473,7 @@ def check_asyn_abs(
         terms[state] = {t.gamma: t for t in ctx.all_step_terms(state)}
 
     initial = sum(len(v) for v in terms.values())
-    max_class = max(len(concrete_class(phi, s)) for s in ctx.g1.nodes)
+    max_class = max(len(klass) for klass in ctx.classes.values())
     removals: list[Removal] = []
 
     def stats(iterations: int) -> CheckStats:

@@ -49,6 +49,17 @@ def _label(model, state, named: bool) -> str:
     return state_label(state, wide=any(e.max_level > 9 for e in model.entities))
 
 
+def _print_lassos(traces, label) -> None:
+    """One line per lasso, ``<prefix (loop)*>``, in a fixed order."""
+    for t in sorted(traces, key=lambda t: (t.prefix + t.loop, t.loop)):
+        prefix = " ".join(label(s) for s in t.prefix)
+        if t.is_finite:
+            print(f"<{prefix}>")
+        else:
+            loop = " ".join(label(s) for s in t.loop)
+            print(f"<{prefix} ({loop})*>".replace("< ", "<"))
+
+
 def cmd_validate(args) -> int:
     model = parse_model(_read(args.model), check=False)
     diags = validate(model)
@@ -91,13 +102,7 @@ def cmd_traces(args) -> int:
     if args.json:
         sys.stdout.write(export_report(traces))
         return OK
-    for t in sorted(traces, key=lambda t: (t.prefix + t.loop, t.loop)):
-        prefix = " ".join(_label(model, s, args.labels) for s in t.prefix)
-        if t.is_finite:
-            print(f"<{prefix}>")
-        else:
-            loop = " ".join(_label(model, s, args.labels) for s in t.loop)
-            print(f"<{prefix} ({loop})*>".replace("< ", "<"))
+    _print_lassos(traces, lambda s: _label(model, s, args.labels))
     return OK
 
 
@@ -113,13 +118,7 @@ def cmd_abstract(args) -> int:
     if args.json:
         sys.stdout.write(export_report(image))
         return OK
-    for t in sorted(image, key=lambda t: (t.prefix + t.loop, t.loop)):
-        prefix = " ".join(state_label(s) for s in t.prefix)
-        if t.is_finite:
-            print(f"<{prefix}>")
-        else:
-            loop = " ".join(state_label(s) for s in t.loop)
-            print(f"<{prefix} ({loop})*>".replace("< ", "<"))
+    _print_lassos(image, state_label)
     return OK
 
 

@@ -164,9 +164,12 @@ def _walk_prefixes(graph, max_len: int, cap: int = 50000):
     return out
 
 
-def _prefix_realizable(g2, phi: AbstractionMapping, prefix) -> bool:
-    """Is ``prefix`` the merged image of some concrete walk?"""
-    seen = {(u, 0) for u in g2.nodes if phi.apply(u) == prefix[0]}
+def _prefix_realizable(g2, image: dict, prefix) -> bool:
+    """Is ``prefix`` the merged image of some concrete walk?
+
+    ``image`` maps every concrete state to its abstract image.
+    """
+    seen = {(u, 0) for u in g2.nodes if image[u] == prefix[0]}
     stack = list(seen)
     last = len(prefix) - 1
     while stack:
@@ -174,10 +177,9 @@ def _prefix_realizable(g2, phi: AbstractionMapping, prefix) -> bool:
         if i == last:
             return True
         for v in g2.succ[u]:
-            image = phi.apply(v)
-            if image == prefix[i]:
+            if image[v] == prefix[i]:
                 nxt = (v, i)
-            elif image == prefix[i + 1]:
+            elif image[v] == prefix[i + 1]:
                 nxt = (v, i + 1)
             else:
                 continue
@@ -221,8 +223,9 @@ def differential_suite(seed: int, count: int, prefix_depth: int = 8) -> dict:
                 if verdict:
                     g1 = build_state_graph(mv1, ASYNC)
                     g2 = build_state_graph(mv2, ASYNC)
+                    image = {u: phi.apply(u) for u in g2.nodes}
                     ok = all(
-                        _prefix_realizable(g2, phi, p)
+                        _prefix_realizable(g2, image, p)
                         for p in sorted(_walk_prefixes(g1, prefix_depth))
                     )
                     record["prefix_check"] = ok

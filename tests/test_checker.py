@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from mvnabs import (
+    ASYNC,
     ClassTooLargeError,
     GammaOutOfClassError,
     NotClosedError,
     StepTermFamily,
     all_step_terms,
+    build_state_graph,
     check_asyn_abs,
     concrete_class,
     consec_closure,
@@ -227,6 +230,77 @@ def test_all_step_terms_mtrp_point_attractor(mtrp, atrp, phi_trp):
     terms = all_step_terms(atrp, mtrp, phi_trp, (0, 0, 1, 1))
     gammas = {t.gamma for t in terms}
     assert frozenset({(0, 0, 1, 1)}) in gammas
+
+
+def _reference_terms(mv1, mv2, phi):
+    """Every step term of every abstract state, straight from the definitions.
+
+    Yields ``(state, gamma, successors, reason)`` for each nonempty
+    subset of each class, by size and then lexicographically;
+    ``reason`` is None for a valid term.
+    """
+    g1 = build_state_graph(mv1, ASYNC)
+    g2 = build_state_graph(mv2, ASYNC)
+    closure = {u: consec_closure(mv2, phi, u) for u in g2.nodes}
+
+    def settles(g):
+        # a dead end, or a step u -> v inside the closure that v can
+        # undo by same-image steps (closure[v] is what v reaches)
+        members = closure[g]
+        return any(not g2.succ[u] for u in members) or any(
+            u in closure[v] for u in members for v in g2.succ[u] if v in members
+        )
+
+    for state in g1.nodes:
+        klass = sorted(concrete_class(phi, state))
+        for r in range(1, len(klass) + 1):
+            for combo in itertools.combinations(klass, r):
+                successors = []
+                reason = None
+                for s_i in g1.succ[state]:
+                    t = frozenset(
+                        v
+                        for g in combo
+                        for u in closure[g]
+                        for v in g2.succ[u]
+                        if phi.apply(v) == s_i
+                    )
+                    successors.append((s_i, t))
+                    if not t and reason is None:
+                        reason = f"no concrete step realises {state} -> {s_i}"
+                stuck = [g for g in combo if not settles(g)]
+                if not g1.succ[state] and stuck and reason is None:
+                    reason = (
+                        f"{state} is a point attractor but every maximal run "
+                        f"from {stuck[0]} leaves its image class"
+                    )
+                yield state, frozenset(combo), tuple(successors), reason
+
+
+def test_all_step_terms_match_definition(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    rng = random.Random(20240611)
+    instances = [(apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    instances += [random_instance(rng) for _ in range(60)]
+    invalid_checked = 0
+    for mv1, mv2, phi in instances:
+        expected = {}
+        for state, gamma, successors, reason in _reference_terms(mv1, mv2, phi):
+            expected.setdefault(state, []).append((gamma, successors, reason))
+        for state, refs in expected.items():
+            got = all_step_terms(mv1, mv2, phi, state)
+            assert [(t.gamma, t.successors) for t in got] == [
+                (gamma, successors) for gamma, successors, reason in refs
+                if reason is None
+            ]
+            assert all(t.valid and t.invalid_reason is None for t in got)
+            invalid = [(gamma, reason) for gamma, _, reason in refs if reason]
+            # the smallest and the largest invalid subsets; the largest
+            # can hold several members that fail, and only the first counts
+            for gamma, reason in invalid[:1] + invalid[1:][-1:]:
+                term = make_step_term(mv1, mv2, phi, state, gamma)
+                assert not term.valid and term.invalid_reason == reason
+                invalid_checked += 1
+    assert invalid_checked > 0
 
 
 def test_check_holds_on_lambda_fixture(apl2, pl2, rho_cro):

@@ -83,6 +83,50 @@ def test_traces_lists_lassos(files, capsys):
     assert "<00 10>" in out
 
 
+# Exact text of the lasso listings, pinned so the shared printer keeps
+# the order, the spacing and the ``<(loop)*>`` form of both commands.
+PL2_TRACES_TEXT = """\
+<00 (01 02)*>
+<00 10>
+<(01 02)*>
+<(02 01)*>
+<10>
+<11 (01 02)*>
+<11 10>
+<12 (02 01)*>
+<12 11 (01 02)*>
+<12 11 10>
+"""
+
+PL2_CRO_IMAGE_TEXT = """\
+<00 01>
+<00 10>
+<01>
+<10>
+<11 01>
+<11 10>
+"""
+
+
+def test_traces_text_exact(files, capsys):
+    assert main(["traces", files["PL2.mvn"]]) == 0
+    assert capsys.readouterr().out == PL2_TRACES_TEXT
+
+
+def test_traces_labels_text_exact(files, capsys):
+    assert main(["traces", files["PL2.mvn"], "--labels"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "<CI=0,Cro=0 (CI=0,Cro=1 CI=0,Cro=2)*>"
+    assert out[2] == "<(CI=0,Cro=1 CI=0,Cro=2)*>"
+    assert out[-1] == "<CI=1,Cro=2 CI=1,Cro=1 CI=1,Cro=0>"
+    assert len(out) == 10
+
+
+def test_abstract_traces_text_exact(files, capsys):
+    assert main(["abstract", files["PL2.mvn"], files["cro.map"], "--traces"]) == 0
+    assert capsys.readouterr().out == PL2_CRO_IMAGE_TEXT
+
+
 def test_traces_infinite_exits_2(files, capsys):
     assert main(["traces", files["branchy.mvn"]]) == 2
     assert "infinite" in capsys.readouterr().err
