@@ -70,7 +70,6 @@ from .abstraction import (
     CandidateSet,
     ChoicePoint,
     StateMapping,
-    abstract_state,
     abstract_trace,
     abstract_trace_set,
     check_sync_abstraction,

@@ -169,11 +169,6 @@ def require_mapping_fits(phi: AbstractionMapping, mv1: Mvn, mv2: Mvn) -> None:
         )
 
 
-def abstract_state(phi: AbstractionMapping, state: GlobalState) -> GlobalState:
-    """Apply the mapping pointwise to one global state."""
-    return phi.apply(state)
-
-
 def _merge(seq):
     out = []
     for s in seq:

@@ -66,7 +66,14 @@ from .abstraction import (
 )
 from .errors import ClassTooLargeError, GammaOutOfClassError, NotClosedError
 from .model import GlobalState, Mvn
-from .semantics import ASYNC, StateGraph, build_state_graph
+from .semantics import (
+    ASYNC,
+    StateGraph,
+    bfs,
+    build_state_graph,
+    path_to,
+    strongly_connected_components,
+)
 
 # Step terms are enumerated over all nonempty subsets of a concrete
 # class and every valid one is materialised as a ``StepTerm``, so time
@@ -105,14 +112,10 @@ def _image_closure(
 ) -> StateSet:
     """Least set containing ``start`` and closed under same-image steps."""
     target = image[start]
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in succ[stack.pop()]:
-            if v not in seen and image[v] == target:
-                seen.add(v)
-                stack.append(v)
-    return frozenset(seen)
+    parents: dict[GlobalState, GlobalState | None] = {start: None}
+    for _ in bfs(parents, lambda u: [v for v in succ[u] if image[v] == target]):
+        pass
+    return frozenset(parents)
 
 
 def consec_closure(mv2: Mvn, phi: AbstractionMapping, state: GlobalState) -> StateSet:
@@ -233,25 +236,16 @@ class _Context:
             if any(not self.g2.succ[u] for u in closure):
                 self._settleable[state] = True
             else:
-                # Peel states with no same-image successors; anything
-                # left lies on a same-image cycle.
-                out = {u: 0 for u in closure}
-                rev: dict[GlobalState, list[GlobalState]] = {u: [] for u in closure}
-                for u in closure:
-                    for v in self.g2.succ[u]:
-                        if v in closure:
-                            out[u] += 1
-                            rev[v].append(u)
-                queue = [u for u in closure if out[u] == 0]
-                remaining = len(closure)
-                while queue:
-                    u = queue.pop()
-                    remaining -= 1
-                    for p in rev[u]:
-                        out[p] -= 1
-                        if out[p] == 0:
-                            queue.append(p)
-                self._settleable[state] = remaining > 0
+                # Successors inside the closure share its image, so any
+                # cycle of this subgraph is a same-image cycle; with no
+                # self-loops in asynchronous graphs, a cycle is an SCC
+                # of two or more states.
+                sub = StateGraph(self.g2.name, ASYNC, tuple(closure), {
+                    u: tuple(v for v in self.g2.succ[u] if v in closure) for u in closure
+                })
+                self._settleable[state] = any(
+                    len(scc) > 1 for scc in strongly_connected_components(sub)
+                )
         return self._settleable[state]
 
     def _class(self, state: GlobalState) -> list[GlobalState]:
@@ -563,25 +557,13 @@ def witness_path(
         bridge = None
         for a in sorted(gammas[i]):
             closure = ctx.closure(a)
-            parent: dict[GlobalState, GlobalState | None] = {a: None}
-            frontier = [a]
-            hit = None
-            while frontier and hit is None:
-                nxt_frontier = []
-                for u in frontier:
-                    if target in ctx.g2.succ[u]:
-                        hit = u
-                        break
-                    for v in ctx.g2.succ[u]:
-                        if v in closure and v not in parent:
-                            parent[v] = u
-                            nxt_frontier.append(v)
-                frontier = nxt_frontier
-            if hit is not None:
-                seg = [hit]
-                while parent[seg[-1]] is not None:
-                    seg.append(parent[seg[-1]])
-                bridge = list(reversed(seg))
+            parents: dict[GlobalState, GlobalState | None] = {a: None}
+            reached = bfs(parents, lambda u: [v for v in ctx.g2.succ[u] if v in closure])
+            for u in itertools.chain((a,), reached):
+                if target in ctx.g2.succ[u]:
+                    bridge = list(path_to(parents, u))
+                    break
+            if bridge is not None:
                 break
         if bridge is None:  # impossible for a closed family, by construction
             raise NotClosedError(

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .abstraction import abstract_state, abstract_trace_set, enumerate_candidates
+from .abstraction import abstract_trace_set, enumerate_candidates
 from .checker import check_asyn_abs
 from .errors import MvnError
 from .model import iter_states, validate
@@ -41,12 +41,17 @@ def _load_model(path: str):
     return parse_model(_read(path))
 
 
-def _label(model, state, named: bool) -> str:
+def _wide(max_levels) -> bool:
+    """Labels of a state space are dotted when any of its levels exceeds 9."""
+    return any(m > 9 for m in max_levels)
+
+
+def _label(model, state, named: bool = False) -> str:
     if named:
         return ",".join(
             f"{e.name}={state[i]}" for i, e in enumerate(model.entities)
         )
-    return state_label(state, wide=any(e.max_level > 9 for e in model.entities))
+    return state_label(state, wide=_wide(model.max_levels))
 
 
 def _print_lassos(traces, label) -> None:
@@ -109,16 +114,17 @@ def cmd_traces(args) -> int:
 def cmd_abstract(args) -> int:
     model = _load_model(args.model)
     phi = parse_mapping(_read(args.mapping), model)
+    wide = _wide(phi.target_max_levels)
     if args.states:
         for s in iter_states(model):
             print(f"{_label(model, s, args.labels)} -> "
-                  f"{state_label(abstract_state(phi, s))}")
+                  f"{state_label(phi.apply(s), wide)}")
         return OK
     image = abstract_trace_set(phi, async_traces(model))
     if args.json:
         sys.stdout.write(export_report(image))
         return OK
-    _print_lassos(image, state_label)
+    _print_lassos(image, lambda s: state_label(s, wide))
     return OK
 
 
@@ -158,11 +164,11 @@ def cmd_check(args) -> int:
               f"{result.stats.initial_terms} initial step terms)")
         if args.witness and result.witness is not None:
             print(f"failed at abstract state "
-                  f"{state_label(result.witness.state)}: {result.witness.reason}")
+                  f"{_label(mv1, result.witness.state)}: {result.witness.reason}")
             for r in result.witness.removals:
-                gamma = ",".join(state_label(s) for s in sorted(r.gamma))
-                print(f"  removed ({state_label(r.state)}, {{{gamma}}}) — "
-                      f"successor {state_label(r.failed_successor)} unrealised")
+                gamma = ",".join(_label(mv2, s) for s in sorted(r.gamma))
+                print(f"  removed ({_label(mv1, r.state)}, {{{gamma}}}) — "
+                      f"successor {_label(mv1, r.failed_successor)} unrealised")
     return OK if result.holds else REFUTED
 
 

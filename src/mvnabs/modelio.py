@@ -28,6 +28,7 @@ newlines or semicolons::
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -190,14 +191,7 @@ def parse_model(text: str, *, check: bool = True) -> Mvn:
                         )
                 columns.append(levels)
 
-            def expand(cols, key):
-                if not cols:
-                    yield key
-                    return
-                for v in cols[0]:
-                    yield from expand(cols[1:], key + (v,))
-
-            for key in expand(columns, ()):
+            for key in itertools.product(*columns):
                 if key in rows:
                     raise ParseError(
                         f"entity {e.name}: row {key} defined more than once", lineno

@@ -35,6 +35,12 @@ from .modelio import serialize_mapping, serialize_model
 from .semantics import ASYNC, attractors, build_state_graph, reachable_set
 from .traces import async_traces, trace_set_is_finite
 
+# Length in states of the abstract walks that the necessary-condition
+# check of :func:`differential_suite` realises.  Random instances have
+# at most 18 abstract states of out-degree at most 3, so this bounds the
+# walks per instance at 18 * (1 + 3 + ... + 3^7) = 59,040.
+PREFIX_DEPTH = 8
+
 
 def oracle_check(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
     """Decide abstraction by direct trace-set inclusion.
@@ -148,16 +154,14 @@ def random_instance(
     return mv1, mv2, phi
 
 
-def _walk_prefixes(graph, max_len: int, cap: int = 50000):
-    """Distinct walks of the graph up to ``max_len`` states (capped)."""
+def _walk_prefixes(graph, max_len: int):
+    """Distinct walks of the graph up to ``max_len`` states."""
     out = set()
     for s in graph.nodes:
         stack = [(s,)]
         while stack:
             walk = stack.pop()
             out.add(walk)
-            if len(out) >= cap:
-                return out
             if len(walk) < max_len:
                 for v in graph.succ[walk[-1]]:
                     stack.append(walk + (v,))
@@ -189,7 +193,7 @@ def _prefix_realizable(g2, image: dict, prefix) -> bool:
     return any(i == last for _, i in seen)
 
 
-def differential_suite(seed: int, count: int, prefix_depth: int = 8) -> dict:
+def differential_suite(seed: int, count: int) -> dict:
     """Run ``count`` random instances; compare checker and oracle verdicts.
 
     Returns a JSON-ready report.  Divergences carry the full model and
@@ -226,7 +230,7 @@ def differential_suite(seed: int, count: int, prefix_depth: int = 8) -> dict:
                     image = {u: phi.apply(u) for u in g2.nodes}
                     ok = all(
                         _prefix_realizable(g2, image, p)
-                        for p in sorted(_walk_prefixes(g1, prefix_depth))
+                        for p in sorted(_walk_prefixes(g1, PREFIX_DEPTH))
                     )
                     record["prefix_check"] = ok
                     if not ok:

@@ -10,18 +10,21 @@ from the source and a state may have zero, one, or many of them.
 Attractors are the long-run behaviours: under synchronous updates the
 unique cycles that iteration eventually enters; under asynchronous
 updates the states with no successors (point attractors) plus the
-nontrivial strongly connected components of the state graph.
+nontrivial strongly connected components of the state graph.  Both
+kinds come from one Tarjan pass (:func:`strongly_connected_components`).
 
 State graphs are materialised explicitly (dict of sorted successor
 tuples).  This is deliberate: the models this package targets have tiny
 state spaces and an explicit graph keeps every downstream analysis
-trivially auditable.
+trivially auditable.  Every search over them (reachability here, and
+the closures and witness bridges of the checker) is one breadth-first
+search, :func:`bfs`, with :func:`path_to` reading paths back from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .model import GlobalState, Mvn, iter_states, require_valid
 
@@ -197,38 +200,59 @@ def attractors(graph: StateGraph) -> AttractorSet:
     Asynchronous graphs: point attractors are exactly the states with no
     successors; every nontrivial SCC is reported as an ``"scc"``
     attractor with a ``terminal`` flag saying whether it has no exits.
-    Synchronous graphs: iterate each state until a repeat; the unique
-    cycles found are the attractors (``"point"`` when of length one).
+    Synchronous graphs: every state has one successor, so the
+    nontrivial SCCs are exactly the cycles that iteration enters: a
+    single state with a self-loop is a ``"point"``, a larger SCC a
+    ``"cycle"``.
     """
     found: list[Attractor] = []
     if graph.semantics == ASYNC:
         for s in graph.nodes:
             if not graph.succ[s]:
                 found.append(Attractor("point", frozenset({s}), True))
-        for scc in strongly_connected_components(graph):
-            if len(scc) < 2:
-                continue  # async graphs have no self-loops
-            members = frozenset(scc)
-            terminal = all(set(graph.succ[u]) <= members for u in members)
-            found.append(Attractor("scc", members, terminal))
-    else:
-        seen_cycles: set[frozenset[GlobalState]] = set()
-        for s in graph.nodes:
-            path_pos: dict[GlobalState, int] = {}
-            path: list[GlobalState] = []
-            cur = s
-            while cur not in path_pos:
-                path_pos[cur] = len(path)
-                path.append(cur)
-                cur = graph.succ[cur][0]
-            cycle = path[path_pos[cur] :]
-            members = frozenset(cycle)
-            if members not in seen_cycles:
-                seen_cycles.add(members)
-                kind = "point" if len(cycle) == 1 else "cycle"
-                found.append(Attractor(kind, members, True))
+    for scc in strongly_connected_components(graph):
+        if graph.semantics == ASYNC:
+            if len(scc) > 1:  # async graphs have no self-loops
+                members = frozenset(scc)
+                terminal = all(set(graph.succ[u]) <= members for u in members)
+                found.append(Attractor("scc", members, terminal))
+        elif len(scc) > 1:
+            found.append(Attractor("cycle", frozenset(scc), True))
+        elif scc[0] in graph.succ[scc[0]]:
+            found.append(Attractor("point", frozenset(scc), True))
     found.sort(key=lambda a: min(a.states))
     return AttractorSet(graph.semantics, tuple(found))
+
+
+def bfs(
+    parents: dict[GlobalState, GlobalState | None],
+    step: Callable[[GlobalState], Iterable[GlobalState]],
+) -> Iterator[GlobalState]:
+    """Breadth-first search from the keys of ``parents``.
+
+    ``parents`` belongs to the caller and starts with every source
+    mapped to ``None``.  Each newly reached node is recorded with the
+    node it was reached from and then yielded, in breadth-first order;
+    a caller stops the search by leaving its loop, and afterwards
+    ``parents`` holds every node reached so far.
+    """
+    queue = list(parents)
+    for u in queue:  # the queue grows while it is read
+        for v in step(u):
+            if v not in parents:
+                parents[v] = u
+                queue.append(v)
+                yield v
+
+
+def path_to(
+    parents: dict[GlobalState, GlobalState | None], node: GlobalState
+) -> tuple[GlobalState, ...]:
+    """The search path from a source to ``node``, both included."""
+    path = [node]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return tuple(reversed(path))
 
 
 def reachable(
@@ -244,35 +268,16 @@ def reachable(
         raise ValueError("both states must belong to the graph")
     if source == target:
         return True, ()
-    parent: dict[GlobalState, GlobalState] = {source: source}
-    frontier = [source]
-    while frontier:
-        nxt: list[GlobalState] = []
-        for u in frontier:
-            for v in graph.succ[u]:
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v == target:
-                    path = [v]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    return True, tuple(reversed(path))
-                nxt.append(v)
-        frontier = nxt
+    parents: dict[GlobalState, GlobalState | None] = {source: None}
+    for v in bfs(parents, graph.succ.__getitem__):
+        if v == target:
+            return True, path_to(parents, v)
     return False, None
 
 
 def reachable_set(graph: StateGraph, source: GlobalState) -> frozenset[GlobalState]:
     """All states reachable from ``source`` (including itself)."""
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(seen)
+    parents: dict[GlobalState, GlobalState | None] = {source: None}
+    for _ in bfs(parents, graph.succ.__getitem__):
+        pass
+    return frozenset(parents)

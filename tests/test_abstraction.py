@@ -13,7 +13,6 @@ from mvnabs import (
     NonMonotoneMappingWarning,
     StateMapping,
     StructureMismatchError,
-    abstract_state,
     abstract_trace,
     abstract_trace_set,
     async_traces,
@@ -39,9 +38,9 @@ ABSTRACTED_PL2 = {
 
 
 def test_abstract_state_examples(rho_cro, phi_trp):
-    assert abstract_state(rho_cro, (1, 2)) == (1, 1)
-    assert abstract_state(rho_cro, (0, 0)) == (0, 0)
-    assert abstract_state(phi_trp, (0, 1, 2, 2)) == (0, 1, 1, 1)
+    assert rho_cro.apply((1, 2)) == (1, 1)
+    assert rho_cro.apply((0, 0)) == (0, 0)
+    assert phi_trp.apply((0, 1, 2, 2)) == (0, 1, 1, 1)
 
 
 def test_abstract_trace_collapses_loop(rho_cro):

@@ -19,7 +19,6 @@ from mvnabs import (
     parse_model,
     witness_path,
 )
-from mvnabs.abstraction import abstract_state
 from mvnabs.fixtures import APL2_SOURCE
 from mvnabs.oracle import random_instance
 
@@ -334,7 +333,7 @@ def test_removal_chain_recorded(mtrp, phi_trp):
     pruned = [r for r in refuted if r.witness.removals]
     assert pruned, "at least one refutation should happen during pruning"
     r = pruned[0].witness.removals[0]
-    assert abstract_state(phi_trp, next(iter(r.missing_gamma))) == r.failed_successor
+    assert phi_trp.apply(next(iter(r.missing_gamma))) == r.failed_successor
 
 
 def test_iteration_bound(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):

@@ -137,6 +137,62 @@ def test_abstract_states(files, capsys):
     assert "12 -> 11" in capsys.readouterr().out
 
 
+BIG_SOURCE = """mvn BIG
+entity A : 0..12
+entity B : 0..12
+neighbourhood A = [A]
+neighbourhood B = [B]
+table A:
+  0,1,2,3,4,5,6,7,8,9,10,11,12 -> 0
+table B:
+  0,1,2,3,4,5,6,7,8,9,10,11,12 -> 0
+"""
+
+BIG_MAP = "\n".join(
+    f"{e}: " + ", ".join(f"{l}->{min(l, 11)}" for l in range(13)) for e in "AB"
+)
+
+
+# Refuted as an abstraction of BIG: abstract A=11 steps to 10, and no
+# concrete step realises that.
+ABIG_SOURCE = """mvn ABIG
+entity A : 0..11
+entity B : 0..11
+neighbourhood A = [A]
+neighbourhood B = [B]
+table A:
+  0,1,2,3,4,5,6,7,8,9,10 -> 0
+  11 -> 10
+table B:
+  0,1,2,3,4,5,6,7,8,9,10,11 -> 0
+"""
+
+
+def test_wide_labels_in_text_output(tmp_path, capsys):
+    big, big_map, abig = tmp_path / "big.mvn", tmp_path / "big.map", tmp_path / "abig.mvn"
+    big.write_text(BIG_SOURCE, encoding="utf-8")
+    big_map.write_text(BIG_MAP, encoding="utf-8")
+    abig.write_text(ABIG_SOURCE, encoding="utf-8")
+    big, big_map, abig = str(big), str(big_map), str(abig)
+
+    assert main(["abstract", big, big_map, "--states"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 169
+    assert len({line.split(" -> ")[1] for line in lines}) == 144
+    assert "1.11 -> 1.11" in lines
+    assert "11.1 -> 11.1" in lines
+    assert "12.12 -> 11.11" in lines
+
+    assert main(["abstract", big, big_map, "--traces"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "<1.11 0.11 0.0>" in lines
+    assert "<11.1 0.1 0.0>" in lines
+
+    assert main(["check", abig, big, big_map, "--witness"]) == 1
+    out = capsys.readouterr().out
+    assert "failed at abstract state 11.0: " in out
+
+
 def test_abstract_traces_json(files, capsys):
     assert main(["abstract", files["PL2.mvn"], files["cro.map"],
                  "--traces", "--json"]) == 0

@@ -1,0 +1,155 @@
+"""Graph searches checked against networkx as an independent reference.
+
+Covers the breadth-first search behind reachability and closures, and
+the Tarjan pass behind both kinds of attractor, on seeded random
+networks large enough that a depth-first witness is usually not a
+shortest one.
+"""
+
+import itertools
+import random
+
+import networkx as nx
+import pytest
+
+from mvnabs import ASYNC, SYNC, attractors, build_state_graph, fixtures, reachable
+from mvnabs.abstraction import AbstractionMapping, StateMapping
+from mvnabs.checker import _Context
+from mvnabs.model import Entity, Mvn, Neighbourhood, NextStateTable
+from mvnabs.oracle import random_instance
+from mvnabs.semantics import reachable_set
+
+
+def random_network(seed: int) -> Mvn:
+    """3 to 6 entities (up to 729 states) of 2 or 3 levels, each reading
+    1 to 3 random inputs."""
+    rng = random.Random(seed)
+    n = 3 + seed % 4
+    max_levels = [rng.choice([1, 2]) for _ in range(n)]
+    entities = tuple(Entity(f"X{i}", m) for i, m in enumerate(max_levels))
+    neighbourhoods = tuple(
+        Neighbourhood(i, tuple(sorted(rng.sample(range(n), rng.randint(1, 3)))))
+        for i in range(n)
+    )
+    tables = tuple(
+        NextStateTable(i, {
+            key: rng.randrange(max_levels[i] + 1)
+            for key in itertools.product(*(range(max_levels[j] + 1) for j in nb.inputs))
+        })
+        for i, nb in enumerate(neighbourhoods)
+    )
+    return Mvn(f"N{seed}", entities, neighbourhoods, tables)
+
+
+SEEDS = range(16)
+
+
+def nx_graph(graph) -> nx.DiGraph:
+    g = nx.DiGraph()
+    g.add_nodes_from(graph.nodes)
+    g.add_edges_from(graph.edges())
+    return g
+
+
+def walked_cycles(graph) -> set:
+    """Sync attractors by iterating the update map from every state."""
+    cycles = set()
+    for s in graph.nodes:
+        path = []
+        while s not in path:
+            path.append(s)
+            s = graph.succ[s][0]
+        cycles.add(frozenset(path[path.index(s):]))
+    return cycles
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_attractors_match_references(seed):
+    model = random_network(seed)
+    graph = build_state_graph(model, ASYNC)
+    g = nx_graph(graph)
+    expected = {("point", frozenset({s}), True) for s in g if g.out_degree(s) == 0}
+    for comp in nx.strongly_connected_components(g):
+        if len(comp) > 1:
+            terminal = all(v in comp for u in comp for v in g.successors(u))
+            expected.add(("scc", frozenset(comp), terminal))
+    found = attractors(graph).attractors
+    assert {(a.kind, a.states, a.terminal) for a in found} == expected
+    assert [min(a.states) for a in found] == sorted(min(a.states) for a in found)
+
+    graph = build_state_graph(model, SYNC)
+    expected = {
+        ("point" if len(c) == 1 else "cycle", c, True) for c in walked_cycles(graph)
+    }
+    found = attractors(graph).attractors
+    assert {(a.kind, a.states, a.terminal) for a in found} == expected
+    assert [min(a.states) for a in found] == sorted(min(a.states) for a in found)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reachability_matches_networkx(seed):
+    graph = build_state_graph(random_network(seed), ASYNC)
+    g = nx_graph(graph)
+    rng = random.Random(seed)
+    for source in rng.sample(graph.nodes, min(8, len(graph.nodes))):
+        assert reachable_set(graph, source) == nx.descendants(g, source) | {source}
+        for target in rng.sample(graph.nodes, min(20, len(graph.nodes))):
+            ok, path = reachable(graph, source, target)
+            assert ok == nx.has_path(g, source, target)
+            if not ok:
+                assert path is None
+            elif source == target:
+                assert path == ()
+            else:
+                assert path[0] == source and path[-1] == target
+                assert all(v in graph.succ[u] for u, v in zip(path, path[1:]))
+                assert len(path) - 1 == nx.shortest_path_length(g, source, target)
+
+
+def compressed(model: Mvn):
+    """``model`` with every ternary entity compressed by 0->0, 1->1, 2->1,
+    and an abstract model of the same structure for it."""
+    phi = AbstractionMapping(model.max_levels, tuple(
+        StateMapping(i, (0, 1, 1)) if e.max_level == 2 else None
+        for i, e in enumerate(model.entities)
+    ))
+    mv1 = Mvn(
+        "A" + model.name,
+        tuple(Entity(e.name, 1) for e in model.entities),
+        model.neighbourhoods,
+        tuple(
+            NextStateTable(i, dict.fromkeys(
+                itertools.product(*([0, 1] for _ in nb.inputs)), 0
+            ))
+            for i, nb in enumerate(model.neighbourhoods)
+        ),
+    )
+    return mv1, model, phi
+
+
+def checker_instances():
+    rng = random.Random(5)
+    yield fixtures.apl2(), fixtures.pl2(), fixtures.rho_cro()
+    yield fixtures.atrp(), fixtures.mtrp(), fixtures.phi_trp()
+    for _ in range(40):
+        yield random_instance(rng)
+    for model in map(random_network, SEEDS):
+        if 2 in model.max_levels:
+            yield compressed(model)
+
+
+def test_closures_and_settleability_match_definitions():
+    for mv1, mv2, phi in checker_instances():
+        ctx = _Context(mv1, mv2, phi)
+        g = nx_graph(ctx.g2)
+        same_image = g.edge_subgraph(
+            (u, v) for u, v in g.edges if ctx.image[u] == ctx.image[v]
+        )
+        for u in ctx.g2.nodes:
+            closure = ctx.closure(u)
+            expected = {u} | (nx.descendants(same_image, u) if u in same_image else set())
+            assert closure == expected
+            assert ctx.settleable(u) == (
+                any(g.out_degree(v) == 0 for v in closure)
+                or not nx.is_directed_acyclic_graph(g.subgraph(closure))
+            )
