@@ -83,6 +83,7 @@ from .checker import (
     check_asyn_abs,
     concrete_class,
     consec_closure,
+    forward_holds,
     make_step_term,
     witness_path,
 )

@@ -51,6 +51,18 @@ subset without its top member ORed with the top member's own, so a
 class of k states costs 2^k ORs and one table of 2^k integers.
 Validity is a bit test on the packed value; ``StepTerm`` objects are
 built only for valid subsets, with one shared frozenset per bitmask.
+
+:func:`forward_holds` reaches the same verdict by forward subset
+construction on the same tables, as antichain-style inclusion checks do
+(De Wulf, Doyen, Henzinger and Raskin, CAV 2006; Abdulla et al., TACAS
+2010).  A breadth-first search over pairs (S, Gamma) starts from
+(S, class(S)) for every abstract state S and steps to (S_i, T(S_i)) for
+each abstract successor S_i.  The abstraction holds iff no reachable
+pair has an empty Gamma or sits at an abstract point attractor with no
+member that can settle.  This is exact because T, and validity away
+from the points, are monotone in Gamma, while at a point a singleton of
+one settling member is valid.  No subset of a class is enumerated, so
+no class size is refused.
 """
 
 from __future__ import annotations
@@ -315,11 +327,8 @@ class _Context:
                 f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
             )
         layout = self._layout(state)
-        mask = packed = 0
-        for g in gamma:
-            mask |= 1 << self.index[g]
-            packed |= layout.post[self.index[g]]
-        return self._term(state, layout, mask, packed)
+        mask = sum(1 << self.index[g] for g in gamma)
+        return self._term(state, layout, mask, _derived(layout, mask))
 
     def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
         """Valid terms in the order: subsets by size, then lexicographic.
@@ -347,6 +356,46 @@ class _Context:
                 if (packed + fill) & guards == guards and not mask & unsettleable:
                     terms.append(self._term(state, layout, mask, packed))
         return terms
+
+    def refuting_pair(self) -> tuple[GlobalState, int] | None:
+        """The first bad pair of the forward search, or ``None``.
+
+        A pair is an abstract state and a bitmask over its class.  It is
+        bad when no member can go on: the mask is empty (the step into
+        the state had no concrete realisation), or the state has no
+        abstract successors and no member can settle.
+        """
+        parents = {(s, (1 << len(k)) - 1): None for s, k in self.classes.items()}
+
+        def successors(pair):
+            layout = self._layout(pair[0])
+            packed = _derived(layout, pair[1])
+            return [(s_i, packed >> offset & ones) for s_i, offset, ones in layout.slots]
+
+        for state, mask in itertools.chain(list(parents), bfs(parents, successors)):
+            # Only members of point states are ever unsettleable.
+            if not mask & ~self._layout(state).unsettleable:
+                return state, mask
+        return None
+
+
+def _derived(layout: _Layout, mask: int) -> int:
+    """The packed derived sets of a subset: its members' ``post`` ORed."""
+    packed = 0
+    while mask:
+        low = mask & -mask
+        packed |= layout.post[low.bit_length() - 1]
+        mask ^= low
+    return packed
+
+
+def forward_holds(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
+    """Decide asynchronous abstraction by forward subset construction.
+
+    The same verdict as :func:`check_asyn_abs`, for classes of any size
+    (see the module docstring).
+    """
+    return _Context(mv1, mv2, phi).refuting_pair() is None
 
 
 def make_step_term(

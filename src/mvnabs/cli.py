@@ -24,7 +24,7 @@ from .modelio import (
     parse_model,
     serialize_mapping,
     serialize_model,
-    state_label,
+    state_labeler,
 )
 from .oracle import differential_suite, oracle_check
 from .semantics import ASYNC, SYNC, attractors, build_state_graph
@@ -41,17 +41,12 @@ def _load_model(path: str):
     return parse_model(_read(path))
 
 
-def _wide(max_levels) -> bool:
-    """Labels of a state space are dotted when any of its levels exceeds 9."""
-    return any(m > 9 for m in max_levels)
-
-
-def _label(model, state, named: bool = False) -> str:
+def _labeler(model, named: bool = False):
     if named:
-        return ",".join(
+        return lambda state: ",".join(
             f"{e.name}={state[i]}" for i, e in enumerate(model.entities)
         )
-    return state_label(state, wide=_wide(model.max_levels))
+    return state_labeler(model.max_levels)
 
 
 def _print_lassos(traces, label) -> None:
@@ -92,10 +87,11 @@ def cmd_attractors(args) -> int:
     model = _load_model(args.model)
     result = attractors(build_state_graph(model, args.semantics))
     if args.json:
-        sys.stdout.write(export_report(result))
+        sys.stdout.write(export_report(result, model.max_levels))
         return OK
+    label = _labeler(model, args.labels)
     for a in result.attractors:
-        states = " ".join(_label(model, s, args.labels) for s in sorted(a.states))
+        states = " ".join(label(s) for s in sorted(a.states))
         extra = "" if a.terminal else " (has exits)"
         print(f"{a.kind}: {{{states}}}{extra}")
     return OK
@@ -105,26 +101,26 @@ def cmd_traces(args) -> int:
     model = _load_model(args.model)
     traces = async_traces(model)
     if args.json:
-        sys.stdout.write(export_report(traces))
+        sys.stdout.write(export_report(traces, model.max_levels))
         return OK
-    _print_lassos(traces, lambda s: _label(model, s, args.labels))
+    _print_lassos(traces, _labeler(model, args.labels))
     return OK
 
 
 def cmd_abstract(args) -> int:
     model = _load_model(args.model)
     phi = parse_mapping(_read(args.mapping), model)
-    wide = _wide(phi.target_max_levels)
+    label = state_labeler(phi.target_max_levels)
     if args.states:
+        source = _labeler(model, args.labels)
         for s in iter_states(model):
-            print(f"{_label(model, s, args.labels)} -> "
-                  f"{state_label(phi.apply(s), wide)}")
+            print(f"{source(s)} -> {label(phi.apply(s))}")
         return OK
     image = abstract_trace_set(phi, async_traces(model))
     if args.json:
-        sys.stdout.write(export_report(image))
+        sys.stdout.write(export_report(image, phi.target_max_levels))
         return OK
-    _print_lassos(image, lambda s: state_label(s, wide))
+    _print_lassos(image, label)
     return OK
 
 
@@ -156,19 +152,20 @@ def cmd_check(args) -> int:
     phi = parse_mapping(_read(args.mapping), mv2)
     result = check_asyn_abs(mv1, mv2, phi)
     if args.json:
-        sys.stdout.write(export_report(result))
+        sys.stdout.write(export_report(result, mv1.max_levels, mv2.max_levels))
     else:
         verdict = "holds" if result.holds else "refuted"
         print(f"{mv1.name} abstracts {mv2.name}: {verdict} "
               f"({result.stats.iterations} iterations, "
               f"{result.stats.initial_terms} initial step terms)")
         if args.witness and result.witness is not None:
+            label, concrete = state_labeler(mv1.max_levels), state_labeler(mv2.max_levels)
             print(f"failed at abstract state "
-                  f"{_label(mv1, result.witness.state)}: {result.witness.reason}")
+                  f"{label(result.witness.state)}: {result.witness.reason}")
             for r in result.witness.removals:
-                gamma = ",".join(_label(mv2, s) for s in sorted(r.gamma))
-                print(f"  removed ({_label(mv1, r.state)}, {{{gamma}}}) — "
-                      f"successor {_label(mv1, r.failed_successor)} unrealised")
+                gamma = ",".join(concrete(s) for s in sorted(r.gamma))
+                print(f"  removed ({label(r.state)}, {{{gamma}}}) — "
+                      f"successor {label(r.failed_successor)} unrealised")
     return OK if result.holds else REFUTED
 
 

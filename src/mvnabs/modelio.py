@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from typing import Callable
 
 from .checker import CheckResult
 from .errors import MappingError, ParseError
@@ -318,37 +319,43 @@ def state_label(state: GlobalState, wide: bool = False) -> str:
     return "".join(str(v) for v in state)
 
 
-def _wide(states) -> bool:
-    return any(v > 9 for s in states for v in s)
+def state_labeler(max_levels) -> Callable[[GlobalState], str]:
+    """Labels for one side's states: dotted when any max level exceeds 9."""
+    wide = any(m > 9 for m in max_levels)
+    return lambda state: state_label(state, wide)
 
 
 def export_dot(graph: StateGraph) -> str:
     """Deterministic DOT text: nodes then edges, both in lexicographic order."""
-    wide = _wide(graph.nodes)
+    # The last node of the whole lexicographic state space is the max levels.
+    label = state_labeler(graph.nodes[-1])
     out = [f'digraph "{graph.name}_{graph.semantics}" {{']
     for s in graph.nodes:
-        out.append(f'  "{state_label(s, wide)}";')
+        out.append(f'  "{label(s)}";')
     for u, v in graph.edges():
-        out.append(f'  "{state_label(u, wide)}" -> "{state_label(v, wide)}";')
+        out.append(f'  "{label(u)}" -> "{label(v)}";')
     out.append("}")
     return "\n".join(out) + "\n"
 
 
-def _trace_obj(trace: LassoTrace, wide: bool) -> dict:
+def _trace_obj(trace: LassoTrace, label) -> dict:
     return {
-        "prefix": [state_label(s, wide) for s in trace.prefix],
-        "loop": [state_label(s, wide) for s in trace.loop],
+        "prefix": [label(s) for s in trace.prefix],
+        "loop": [label(s) for s in trace.loop],
     }
 
 
-def export_report(result) -> str:
+def export_report(result, *max_levels) -> str:
     """Serialize a check result, attractor set, or trace set to JSON.
 
-    Key order and list order are stable across runs for the same input.
+    ``max_levels`` are those of each labelled side (:func:`state_labeler`):
+    the model's for attractors and traces, the abstract then the concrete
+    model's for a check result.  Key order and list order are stable
+    across runs for the same input.
     """
+    labels = [state_labeler(levels) for levels in max_levels]
     if isinstance(result, CheckResult):
-        states = list(result.stats.surviving_terms)
-        wide = _wide(states)
+        label, concrete = labels
         obj = {
             "type": "check",
             "holds": result.holds,
@@ -358,37 +365,34 @@ def export_report(result) -> str:
             "initial_terms": result.stats.initial_terms,
             "removed_terms": result.stats.removed_terms,
             "surviving_terms": {
-                state_label(s, wide): n
+                label(s): n
                 for s, n in sorted(result.stats.surviving_terms.items())
             },
             "witness": None,
         }
         if result.witness is not None:
             obj["witness"] = {
-                "state": state_label(result.witness.state, wide),
+                "state": label(result.witness.state),
                 "reason": result.witness.reason,
                 "removals": [
                     {
-                        "state": state_label(r.state, wide),
-                        "gamma": [state_label(s, wide) for s in sorted(r.gamma)],
-                        "failed_successor": state_label(r.failed_successor, wide),
-                        "missing_gamma": [
-                            state_label(s, wide) for s in sorted(r.missing_gamma)
-                        ],
+                        "state": label(r.state),
+                        "gamma": [concrete(s) for s in sorted(r.gamma)],
+                        "failed_successor": label(r.failed_successor),
+                        "missing_gamma": [concrete(s) for s in sorted(r.missing_gamma)],
                     }
                     for r in result.witness.removals
                 ],
             }
     elif isinstance(result, AttractorSet):
-        all_states = [s for a in result.attractors for s in a.states]
-        wide = _wide(all_states)
+        (label,) = labels
         obj = {
             "type": "attractors",
             "semantics": result.semantics,
             "attractors": [
                 {
                     "kind": a.kind,
-                    "states": [state_label(s, wide) for s in sorted(a.states)],
+                    "states": [label(s) for s in sorted(a.states)],
                     "terminal": a.terminal,
                 }
                 for a in result.attractors
@@ -397,9 +401,9 @@ def export_report(result) -> str:
     elif isinstance(result, (frozenset, set, list, tuple)) and all(
         isinstance(t, LassoTrace) for t in result
     ):
-        wide = _wide([s for t in result for s in t.prefix + t.loop])
+        (label,) = labels
         ordered = sorted(result, key=lambda t: (t.prefix + t.loop, t.loop))
-        obj = {"type": "traces", "traces": [_trace_obj(t, wide) for t in ordered]}
+        obj = {"type": "traces", "traces": [_trace_obj(t, label) for t in ordered]}
     else:
         raise TypeError(f"cannot export {type(result).__name__}")
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -8,10 +8,10 @@ so agreement between the two is strong evidence for both.
 
 :func:`differential_suite` generates seeded random model/mapping/
 candidate triples and checks that agreement on every instance the
-oracle can decide.  Instances it cannot decide still run the checker
-and get a bounded sanity check: every short abstract walk must be
-realisable as the merged image of a concrete walk (a necessary
-condition only).
+oracle can decide.  On every instance it also compares the checker with
+the forward decider :func:`~mvnabs.checker.forward_holds`, which is
+exact for infinite trace sets too but shares ``checker._Context`` with
+the checker; the oracle stays the independent check where supported.
 """
 
 from __future__ import annotations
@@ -28,19 +28,12 @@ from .abstraction import (
     require_mapping_fits,
     require_same_structure,
 )
-from .checker import check_asyn_abs, concrete_class
+from .checker import check_asyn_abs, concrete_class, forward_holds
 from .errors import NonMonotoneMappingWarning, UnsupportedError
 from .model import Entity, Mvn, Neighbourhood, NextStateTable
 from .modelio import serialize_mapping, serialize_model
 from .semantics import ASYNC, attractors, build_state_graph, reachable_set
 from .traces import async_traces, trace_set_is_finite
-
-# Length in states of the abstract walks that the necessary-condition
-# check of :func:`differential_suite` realises.  Random instances have
-# at most 18 abstract states of out-degree at most 3, so this bounds the
-# walks per instance at 18 * (1 + 3 + ... + 3^7) = 59,040.
-PREFIX_DEPTH = 8
-
 
 def oracle_check(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
     """Decide abstraction by direct trace-set inclusion.
@@ -154,53 +147,14 @@ def random_instance(
     return mv1, mv2, phi
 
 
-def _walk_prefixes(graph, max_len: int):
-    """Distinct walks of the graph up to ``max_len`` states."""
-    out = set()
-    for s in graph.nodes:
-        stack = [(s,)]
-        while stack:
-            walk = stack.pop()
-            out.add(walk)
-            if len(walk) < max_len:
-                for v in graph.succ[walk[-1]]:
-                    stack.append(walk + (v,))
-    return out
-
-
-def _prefix_realizable(g2, image: dict, prefix) -> bool:
-    """Is ``prefix`` the merged image of some concrete walk?
-
-    ``image`` maps every concrete state to its abstract image.
-    """
-    seen = {(u, 0) for u in g2.nodes if image[u] == prefix[0]}
-    stack = list(seen)
-    last = len(prefix) - 1
-    while stack:
-        u, i = stack.pop()
-        if i == last:
-            return True
-        for v in g2.succ[u]:
-            if image[v] == prefix[i]:
-                nxt = (v, i)
-            elif image[v] == prefix[i + 1]:
-                nxt = (v, i + 1)
-            else:
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return any(i == last for _, i in seen)
-
-
 def differential_suite(seed: int, count: int) -> dict:
-    """Run ``count`` random instances; compare checker and oracle verdicts.
+    """Run ``count`` random instances; cross-check the checker's verdicts.
 
     Returns a JSON-ready report.  Divergences carry the full model and
     mapping sources so any failure can be replayed verbatim.  Instances
-    with infinite trace sets are recorded as unsupported; when the
-    checker accepts one, every short abstract walk is additionally
-    required to be realisable concretely (necessary condition only).
+    with infinite trace sets are unsupported by the oracle.  Every
+    instance records the forward decider's verdict too, and one that
+    differs from the checker's is a divergence of kind ``"forward"``.
     """
     rng = random.Random(seed)
     instances = []
@@ -219,22 +173,12 @@ def differential_suite(seed: int, count: int) -> dict:
             }
             verdict = check_asyn_abs(mv1, mv2, phi).holds
             record["checker"] = verdict
+            record["forward"] = forward_holds(mv1, mv2, phi)
             try:
                 expected = oracle_check(mv1, mv2, phi)
             except UnsupportedError:
                 record["supported"] = False
                 record["oracle"] = None
-                if verdict:
-                    g1 = build_state_graph(mv1, ASYNC)
-                    g2 = build_state_graph(mv2, ASYNC)
-                    image = {u: phi.apply(u) for u in g2.nodes}
-                    ok = all(
-                        _prefix_realizable(g2, image, p)
-                        for p in sorted(_walk_prefixes(g1, PREFIX_DEPTH))
-                    )
-                    record["prefix_check"] = ok
-                    if not ok:
-                        divergences.append(dict(record, kind="prefix_condition"))
             else:
                 supported += 1
                 record["supported"] = True
@@ -245,6 +189,8 @@ def differential_suite(seed: int, count: int) -> dict:
                 both_finite += record["both_finite"]
                 if expected != verdict:
                     divergences.append(dict(record, kind="verdict"))
+            if record["forward"] != verdict:
+                divergences.append(dict(record, kind="forward"))
             instances.append(record)
     return {
         "seed": seed,

@@ -92,23 +92,13 @@ def canonicalize(trace: LassoTrace) -> LassoTrace:
 def sync_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
     """One deterministic trace per initial state.
 
-    Iterate the synchronous step until a state repeats; the repetition
-    closes the loop.
+    Every state of the synchronous graph has exactly one successor, so
+    the walk of :func:`_walk` follows a single run from each state and
+    closes it into its lasso at the first repeated state.
     """
     if graph is None:
         graph = build_state_graph(model, SYNC)
-    traces = set()
-    for s in graph.nodes:
-        pos: dict[GlobalState, int] = {}
-        path: list[GlobalState] = []
-        cur = s
-        while cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = graph.succ[cur][0]
-        i = pos[cur]
-        traces.add(canonicalize(LassoTrace(tuple(path[:i]), tuple(path[i:]))))
-    return frozenset(traces)
+    return _walk(graph)
 
 
 def trace_set_is_finite(graph: StateGraph) -> bool:
@@ -131,11 +121,10 @@ def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
     """Every maximal asynchronous run, as canonical lassos.
 
     Requires a finite trace set (:class:`InfiniteTraceSetError`
-    otherwise).  Runs a depth-first walk from every initial state; a
-    walk ends at a successor-free state (finite trace) or closes into a
-    lasso the first time it revisits a state on the current path, which
-    is sound because cycle states are deterministic under the
-    finiteness criterion.
+    otherwise).  Then the walk of :func:`_walk` finds every run: closing
+    a lasso the first time a walk revisits a state on its path is sound
+    because cycle states are deterministic under the finiteness
+    criterion.
     """
     if graph is None:
         graph = build_state_graph(model, ASYNC)
@@ -143,6 +132,15 @@ def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
         raise InfiniteTraceSetError(
             f"model {graph.name}: asynchronous trace set is infinite"
         )
+    return _walk(graph)
+
+
+def _walk(graph: StateGraph) -> TraceSet:
+    """The lassos of a depth-first walk from every state of ``graph``.
+
+    A walk ends at a successor-free state (finite trace) or closes into
+    a lasso the first time it revisits a state on the current path.
+    """
     traces: set[LassoTrace] = set()
     for s0 in graph.nodes:
         if not graph.succ[s0]:

@@ -14,6 +14,8 @@ from mvnabs import (
     check_asyn_abs,
     concrete_class,
     consec_closure,
+    enumerate_candidates,
+    forward_holds,
     make_step_term,
     parse_mapping,
     parse_model,
@@ -378,6 +380,26 @@ def test_class_size_guard():
     phi = parse_mapping(mapping, model)
     with pytest.raises(ClassTooLargeError):
         check_asyn_abs(abstract, model, phi)
+
+
+def test_forward_holds_matches_checker(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    from mvnabs import UnsupportedError, oracle_check
+
+    triples = [(apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
+    rng = random.Random(2006)
+    triples += [random_instance(rng) for _ in range(300)]
+    verdicts, unsupported = set(), 0
+    for mv1, mv2, phi in triples:
+        verdict = check_asyn_abs(mv1, mv2, phi).holds
+        assert forward_holds(mv1, mv2, phi) == verdict
+        verdicts.add(verdict)
+        try:
+            oracle_check(mv1, mv2, phi)
+        except UnsupportedError:
+            unsupported += 1
+    assert verdicts == {True, False}
+    assert unsupported > 0
 
 
 def _merged_image(phi, path):

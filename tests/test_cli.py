@@ -193,6 +193,23 @@ def test_wide_labels_in_text_output(tmp_path, capsys):
     assert "failed at abstract state 11.0: " in out
 
 
+def test_wide_labels_agree_in_text_and_json(tmp_path, capsys):
+    big = tmp_path / "big.mvn"
+    big.write_text(BIG_SOURCE, encoding="utf-8")
+    assert main(["attractors", str(big)]) == 0
+    assert capsys.readouterr().out == "point: {0.0}\n"
+    assert main(["attractors", str(big), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [a["states"] for a in report["attractors"]] == [["0.0"]]
+
+    assert main(["traces", str(big)]) == 0
+    text = capsys.readouterr().out.replace("<", "").replace(">", "").split()
+    assert main(["traces", str(big), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(text) == {s for t in report["traces"] for s in t["prefix"]}
+    assert "12.12" in text
+
+
 def test_abstract_traces_json(files, capsys):
     assert main(["abstract", files["PL2.mvn"], files["cro.map"],
                  "--traces", "--json"]) == 0

@@ -184,7 +184,9 @@ def test_state_label_wide():
 
 
 def test_report_check_result(apl2, pl2, rho_cro):
-    report = json.loads(export_report(check_asyn_abs(apl2, pl2, rho_cro)))
+    report = json.loads(export_report(
+        check_asyn_abs(apl2, pl2, rho_cro), apl2.max_levels, pl2.max_levels
+    ))
     assert report["holds"] is True
     assert report["witness"] is None
     assert set(report["surviving_terms"]) == {"00", "01", "10", "11"}
@@ -198,29 +200,67 @@ def test_report_refutation_witness(mtrp, phi_trp):
         for c in enumerate_candidates(mtrp, phi_trp).models
         if not check_asyn_abs(c, mtrp, phi_trp).holds
     ]
-    report = json.loads(export_report(check_asyn_abs(failing[0], mtrp, phi_trp)))
+    report = json.loads(export_report(
+        check_asyn_abs(failing[0], mtrp, phi_trp), failing[0].max_levels, mtrp.max_levels
+    ))
     assert report["holds"] is False
     assert report["witness"]["state"]
     assert "reason" in report["witness"]
 
 
+def test_report_labels_each_side_by_its_own_levels():
+    # Concrete X runs to 11, abstract X to 1: abstract 0 steps to 1 only
+    # through concrete 10, whose closure never leaves the class of 1.
+    concrete = parse_model(
+        "mvn C\nentity X : 0..11\nentity Y : 0..1\n"
+        "neighbourhood X = [X]\nneighbourhood Y = [Y]\n"
+        "table X:\n  0 -> 10\n  1,2,3,4,5,6,7,8,9 -> 0\n  10 -> 11\n  11 -> 11\n"
+        "table Y:\n  0 -> 0\n  1 -> 1\n"
+    )
+    abstract = parse_model(
+        "mvn A\nentity X : 0..1\nentity Y : 0..1\n"
+        "neighbourhood X = [X]\nneighbourhood Y = [Y]\n"
+        "table X:\n  0 -> 1\n  1 -> 0\ntable Y:\n  0 -> 0\n  1 -> 1\n"
+    )
+    phi = parse_mapping(
+        "X: 0->0, " + ", ".join(f"{v}->1" for v in range(1, 12)) + "\nY: identity",
+        concrete,
+    )
+    result = check_asyn_abs(abstract, concrete, phi)
+    report = json.loads(
+        export_report(result, abstract.max_levels, concrete.max_levels)
+    )
+    assert report["holds"] is False
+    assert report["witness"]["state"] == "00"
+    assert report["witness"]["removals"][0] == {
+        "state": "00",
+        "gamma": ["0.0"],
+        "failed_successor": "10",
+        "missing_gamma": ["10.0"],
+    }
+    assert set(report["surviving_terms"]) == {"00", "01", "10", "11"}
+
+
 def test_report_attractors(pl2):
-    report = json.loads(export_report(attractors(build_state_graph(pl2, ASYNC))))
+    report = json.loads(
+        export_report(attractors(build_state_graph(pl2, ASYNC)), pl2.max_levels)
+    )
     assert report["semantics"] == "async"
     assert [a["states"] for a in report["attractors"]] == [["01", "02"], ["10"]]
 
 
 def test_report_traces_lasso_shape():
     traces = frozenset({LassoTrace(((0, 0),), ((0, 1), (0, 2)))})
-    report = json.loads(export_report(traces))
+    report = json.loads(export_report(traces, (0, 2)))
     assert report["traces"] == [{"prefix": ["00"], "loop": ["01", "02"]}]
 
 
 def test_report_empty_trace_set():
-    assert json.loads(export_report(frozenset()))["traces"] == []
+    assert json.loads(export_report(frozenset(), ()))["traces"] == []
 
 
 def test_report_stable_across_runs(mtrp, atrp, phi_trp):
-    a = export_report(check_asyn_abs(atrp, mtrp, phi_trp))
-    b = export_report(check_asyn_abs(atrp, mtrp, phi_trp))
+    levels = (atrp.max_levels, mtrp.max_levels)
+    a = export_report(check_asyn_abs(atrp, mtrp, phi_trp), *levels)
+    b = export_report(check_asyn_abs(atrp, mtrp, phi_trp), *levels)
     assert a == b

@@ -6,11 +6,13 @@ from mvnabs import (
     check_asyn_abs,
     differential_suite,
     enumerate_candidates,
+    forward_holds,
     oracle_check,
     parse_mapping,
     parse_model,
     reachability_soundness_suite,
 )
+from mvnabs.cli import main
 from tests.test_traces import BRANCHY_SOURCE
 
 
@@ -109,6 +111,45 @@ def test_differential_suite_deterministic():
     a = differential_suite(seed=42, count=40)
     b = differential_suite(seed=42, count=40)
     assert a == b
+
+
+def test_differential_suite_records_forward_verdict():
+    report = differential_suite(seed=3, count=60)
+    assert all(r["forward"] == r["checker"] for r in report["instances"])
+    assert not all(r["supported"] for r in report["instances"])
+
+
+def test_forward_divergence_is_reported(monkeypatch, capsys):
+    import mvnabs.oracle
+
+    monkeypatch.setattr(
+        mvnabs.oracle, "forward_holds", lambda *args: not forward_holds(*args)
+    )
+    report = differential_suite(seed=3, count=10)
+    assert len(report["divergences"]) == 10
+    assert {d["kind"] for d in report["divergences"]} == {"forward"}
+    assert main(["fuzz", "--seed", "3", "--count", "10"]) == 1
+    assert "divergence (forward) at instance 0:" in capsys.readouterr().out
+
+
+def test_forward_holds_beyond_the_class_size_cap():
+    # The instance of test_class_size_guard: classes of up to 81 states,
+    # which the step-term checker refuses to enumerate.
+    lines = "\n".join(f"  {v} -> {v}" for v in range(10))
+    model = parse_model(
+        "mvn Wide\nentity X : 0..9\nentity Y : 0..9\n"
+        "neighbourhood X = [X]\nneighbourhood Y = [Y]\n"
+        f"table X:\n{lines}\ntable Y:\n{lines}\n"
+    )
+    abstract = parse_model(
+        "mvn W2\nentity X : 0..1\nentity Y : 0..1\n"
+        "neighbourhood X = [X]\nneighbourhood Y = [Y]\n"
+        "table X:\n  0 -> 0\n  1 -> 1\ntable Y:\n  0 -> 0\n  1 -> 1\n"
+    )
+    ones = ",".join(f"{v}->1" for v in range(1, 10))
+    phi = parse_mapping(f"X: 0->0,{ones}\nY: 0->0,{ones}", model)
+    assert forward_holds(abstract, model, phi) is True
+    assert oracle_check(abstract, model, phi) is True
 
 
 def test_reachability_soundness_fixtures(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
