@@ -169,15 +169,9 @@ def require_mapping_fits(phi: AbstractionMapping, mv1: Mvn, mv2: Mvn) -> None:
         )
 
 
-def _merge(seq):
-    out = []
-    for s in seq:
-        if not out or out[-1] != s:
-            out.append(s)
-    return out
-
-
 def _merge_after(seq, last):
+    """``seq`` without each element equal to the one before it, where
+    ``last`` stands before the first (``None`` when nothing does)."""
     out = []
     for s in seq:
         if s != last:
@@ -195,13 +189,13 @@ def abstract_trace(phi: AbstractionMapping, trace: LassoTrace) -> LassoTrace:
     """
     prefix_img = [phi.apply(s) for s in trace.prefix]
     if trace.is_finite:
-        return LassoTrace(tuple(_merge(prefix_img)), ())
+        return LassoTrace(tuple(_merge_after(prefix_img, None)), ())
     loop_img = [phi.apply(s) for s in trace.loop]
     if all(s == loop_img[0] for s in loop_img):
-        return LassoTrace(tuple(_merge(prefix_img + [loop_img[0]])), ())
+        return LassoTrace(tuple(_merge_after(prefix_img + [loop_img[0]], None)), ())
     # After the prefix and one loop copy the merge state is pinned to the
     # loop's last image, so every later copy emits the same merged word.
-    head = _merge(prefix_img + loop_img)
+    head = _merge_after(prefix_img + loop_img, None)
     body = _merge_after(loop_img, loop_img[-1])
     return canonicalize(LassoTrace(tuple(head), tuple(body)))
 

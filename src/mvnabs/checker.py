@@ -52,6 +52,15 @@ class of k states costs 2^k ORs and one table of 2^k integers.
 Validity is a bit test on the packed value; ``StepTerm`` objects are
 built only for valid subsets, with one shared frozenset per bitmask.
 
+Every walk over same-image steps reads one graph, the concrete
+asynchronous graph with only its same-image ("stutter") steps kept,
+built once per check.  A closure is a breadth-first search on it.  The
+states where a run can settle are the concrete dead ends plus the
+members of its SCCs of two or more states, found by one Tarjan pass
+when the first abstract point attractor needs them; a member can
+settle when its closure meets them.  The same-image bridges that
+:func:`witness_path` inserts are breadth-first paths on it too.
+
 :func:`forward_holds` reaches the same verdict by forward subset
 construction on the same tables, as antichain-style inclusion checks do
 (De Wulf, Doyen, Henzinger and Raskin, CAV 2006; Abdulla et al., TACAS
@@ -70,6 +79,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .abstraction import (
     AbstractionMapping,
@@ -84,6 +94,7 @@ from .semantics import (
     bfs,
     build_state_graph,
     path_to,
+    reachable_set,
     strongly_connected_components,
 )
 
@@ -117,23 +128,17 @@ def _images(graph: StateGraph, phi: AbstractionMapping) -> dict[GlobalState, Glo
     return {u: phi.apply(u) for u in graph.nodes}
 
 
-def _image_closure(
-    succ: dict[GlobalState, tuple[GlobalState, ...]],
-    image: dict[GlobalState, GlobalState],
-    start: GlobalState,
-) -> StateSet:
-    """Least set containing ``start`` and closed under same-image steps."""
-    target = image[start]
-    parents: dict[GlobalState, GlobalState | None] = {start: None}
-    for _ in bfs(parents, lambda u: [v for v in succ[u] if image[v] == target]):
-        pass
-    return frozenset(parents)
+def _stutter_graph(graph: StateGraph, image: dict[GlobalState, GlobalState]) -> StateGraph:
+    """``graph`` with only its same-image steps kept."""
+    return StateGraph(graph.name, graph.semantics, graph.nodes, {
+        u: tuple(v for v in graph.succ[u] if image[v] == image[u]) for u in graph.nodes
+    })
 
 
 def consec_closure(mv2: Mvn, phi: AbstractionMapping, state: GlobalState) -> StateSet:
     """Least set containing ``state`` and closed under same-image steps."""
     graph = build_state_graph(mv2, ASYNC)
-    return _image_closure(graph.succ, _images(graph, phi), state)
+    return reachable_set(_stutter_graph(graph, _images(graph, phi)), state)
 
 
 @dataclass(frozen=True)
@@ -204,11 +209,12 @@ class _Context:
     """Shared per-check data, each piece computed once per check.
 
     ``image`` holds the image of every concrete state, ``classes`` every
-    abstract state's class in lexicographic order and ``index`` each
-    concrete state's position in its class.  Closures, settleability,
-    the packed derived sets of each abstract state (:class:`_Layout`)
-    and the state set of each bitmask (``_subsets``) are memoised on
-    first use.
+    abstract state's class in lexicographic order, ``index`` each
+    concrete state's position in its class and ``stutter`` the concrete
+    graph with only its same-image steps.  Three things are memoised on
+    first use: the states where a run can settle (one Tarjan pass), the
+    packed derived sets of each abstract state (:class:`_Layout`) and
+    the state set of each bitmask (``_subsets``).
     """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
@@ -220,45 +226,34 @@ class _Context:
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
         self.image = _images(self.g2, phi)
+        self.stutter = _stutter_graph(self.g2, self.image)
         self.classes: dict[GlobalState, list[GlobalState]] = {s: [] for s in self.g1.nodes}
         self.index: dict[GlobalState, int] = {}
         for u in self.g2.nodes:  # lexicographic, so every class is sorted
             klass = self.classes[self.image[u]]
             self.index[u] = len(klass)
             klass.append(u)
-        self._closures: dict[GlobalState, StateSet] = {}
-        self._settleable: dict[GlobalState, bool] = {}
         self._layouts: dict[GlobalState, _Layout] = {}
         self._subsets = {s: _Subsets(klass) for s, klass in self.classes.items()}
 
+    @cached_property
+    def _settling(self) -> frozenset[GlobalState]:
+        """The dead ends of the concrete graph and the states on a
+        same-image cycle.
+
+        Asynchronous graphs have no self-loops, so a same-image cycle is
+        a stutter SCC of two or more states.  A closure is closed under
+        same-image steps, so every such SCC that meets it lies inside.
+        """
+        cycles = (scc for scc in strongly_connected_components(self.stutter) if len(scc) > 1)
+        return frozenset(u for u in self.g2.nodes if not self.g2.succ[u]).union(*cycles)
+
     def closure(self, state: GlobalState) -> StateSet:
-        if state not in self._closures:
-            self._closures[state] = _image_closure(self.g2.succ, self.image, state)
-        return self._closures[state]
+        return reachable_set(self.stutter, state)
 
     def settleable(self, state: GlobalState) -> bool:
-        """Can a maximal run from ``state`` stay inside its image class?
-
-        True when the class (all of it is reachable from ``state`` by
-        construction) contains a dead end of the full graph or a cycle
-        of same-image steps.
-        """
-        if state not in self._settleable:
-            closure = self.closure(state)
-            if any(not self.g2.succ[u] for u in closure):
-                self._settleable[state] = True
-            else:
-                # Successors inside the closure share its image, so any
-                # cycle of this subgraph is a same-image cycle; with no
-                # self-loops in asynchronous graphs, a cycle is an SCC
-                # of two or more states.
-                sub = StateGraph(self.g2.name, ASYNC, tuple(closure), {
-                    u: tuple(v for v in self.g2.succ[u] if v in closure) for u in closure
-                })
-                self._settleable[state] = any(
-                    len(scc) > 1 for scc in strongly_connected_components(sub)
-                )
-        return self._settleable[state]
+        """Can a maximal run from ``state`` stay inside its image class?"""
+        return not self._settling.isdisjoint(self.closure(state))
 
     def _class(self, state: GlobalState) -> list[GlobalState]:
         if state not in self.classes:
@@ -277,20 +272,18 @@ class _Context:
                 guards |= 1 << (offset + width)
                 offset += width + 1
             offset_of = {s_i: off for s_i, off, _ in slots}
-            post = []
-            for g in self.classes[state]:
+            post, unsettleable = [], 0
+            for j, g in enumerate(self.classes[state]):
+                closure = self.closure(g)
                 packed = 0
-                for u in self.closure(g):
+                for u in closure:
                     for v in self.g2.succ[u]:
                         off = offset_of.get(self.image[v])
                         if off is not None:
                             packed |= 1 << (off + self.index[v])
                 post.append(packed)
-            unsettleable = 0
-            if not succs:
-                for j, g in enumerate(self.classes[state]):
-                    if not self.settleable(g):
-                        unsettleable |= 1 << j
+                if not succs and self._settling.isdisjoint(closure):
+                    unsettleable |= 1 << j
             self._layouts[state] = _Layout(
                 tuple(slots), tuple(post), fill, guards, unsettleable
             )
@@ -584,6 +577,8 @@ def witness_path(
         raise ValueError("the abstract path must contain at least one state")
     family.check_closed()
     ctx = _Context(family.mv1, family.mv2, family.phi)
+    for s in gamma_path:
+        ctx._class(s)  # ValueError outside the abstract state space
     for a, b in zip(gamma_path, gamma_path[1:]):
         if b not in ctx.g1.succ[a]:
             raise ValueError(f"{a} -> {b} is not an abstract asynchronous step")
@@ -605,9 +600,8 @@ def witness_path(
         target = path[0]
         bridge = None
         for a in sorted(gammas[i]):
-            closure = ctx.closure(a)
             parents: dict[GlobalState, GlobalState | None] = {a: None}
-            reached = bfs(parents, lambda u: [v for v in ctx.g2.succ[u] if v in closure])
+            reached = bfs(parents, ctx.stutter.succ.__getitem__)
             for u in itertools.chain((a,), reached):
                 if target in ctx.g2.succ[u]:
                     bridge = list(path_to(parents, u))

@@ -108,6 +108,9 @@ def cmd_traces(args) -> int:
 
 
 def cmd_abstract(args) -> int:
+    if args.states and args.json:
+        print("error: --json applies to --traces only", file=sys.stderr)
+        return ERROR
     model = _load_model(args.model)
     phi = parse_mapping(_read(args.mapping), model)
     label = state_labeler(phi.target_max_levels)
@@ -120,7 +123,7 @@ def cmd_abstract(args) -> int:
     if args.json:
         sys.stdout.write(export_report(image, phi.target_max_levels))
         return OK
-    _print_lassos(image, label)
+    _print_lassos(image, _labeler(model, True) if args.labels else label)
     return OK
 
 

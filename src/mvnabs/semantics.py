@@ -152,45 +152,42 @@ def strongly_connected_components(graph: StateGraph) -> list[list[GlobalState]]:
     on_stack: set[GlobalState] = set()
     stack: list[GlobalState] = []
     sccs: list[list[GlobalState]] = []
-    counter = 0
+    # One frame per node on the depth-first path: the node and an
+    # iterator over its successors not yet examined.
+    work: list[tuple[GlobalState, Iterator[GlobalState]]] = []
+
+    def enter(node: GlobalState) -> None:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(graph.succ[node])))
 
     for root in graph.nodes:
         if root in index:
             continue
-        work = [(root, 0)]
+        enter(root)
         while work:
-            node, succ_i = work.pop()
-            if succ_i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = graph.succ[node]
-            while succ_i < len(successors):
-                child = successors[succ_i]
-                succ_i += 1
+            node, successors = work[-1]
+            for child in successors:
                 if child not in index:
-                    work.append((node, succ_i))
-                    work.append((child, 0))
-                    advanced = True
+                    enter(child)
                     break
                 if child in on_stack:
                     lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    scc.append(top)
-                    if top == node:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    scc = []
+                    while True:
+                        top = stack.pop()
+                        on_stack.discard(top)
+                        scc.append(top)
+                        if top == node:
+                            break
+                    sccs.append(scc)
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
     return sccs
 
 

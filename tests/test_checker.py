@@ -457,12 +457,35 @@ def test_witness_path_around_full_cycle(atrp, mtrp, phi_trp):
     assert _merged_image(phi_trp, path) == cycle
 
 
+def test_witness_path_lifts_random_instances():
+    # Bridges must stay inside their image class: one that leaves it
+    # shows up as an extra state in the merged image.
+    rng = random.Random(61)
+    lifted = 0
+    for _ in range(300):
+        mv1, mv2, phi = random_instance(rng)
+        result = check_asyn_abs(mv1, mv2, phi)
+        if not result.holds:
+            continue
+        g2 = build_state_graph(mv2, ASYNC)
+        for u, v in build_state_graph(mv1, ASYNC).edges():
+            path = witness_path(result.family, (u, v))
+            assert all(b in g2.succ[a] for a, b in zip(path, path[1:]))
+            assert _merged_image(phi, path) == (u, v)
+            lifted += 1
+    assert lifted > 900
+
+
 def test_witness_path_rejects_non_paths(apl2, pl2, rho_cro):
     family = check_asyn_abs(apl2, pl2, rho_cro).family
     with pytest.raises(ValueError):
         witness_path(family, ((0, 0), (1, 1)))
     with pytest.raises(ValueError):
         witness_path(family, ())
+    with pytest.raises(ValueError):
+        witness_path(family, ((5, 5),))
+    with pytest.raises(ValueError):
+        witness_path(family, ((0, 0, 0),))
 
 
 def test_witness_path_requires_closed_family(apl2, pl2, rho_cro):

@@ -127,6 +127,25 @@ def test_abstract_traces_text_exact(files, capsys):
     assert capsys.readouterr().out == PL2_CRO_IMAGE_TEXT
 
 
+def test_abstract_traces_labels(files, capsys):
+    assert main(["abstract", files["PL2.mvn"], files["cro.map"], "--traces", "--labels"]) == 0
+    assert capsys.readouterr().out == (
+        "<CI=0,Cro=0 CI=0,Cro=1>\n"
+        "<CI=0,Cro=0 CI=1,Cro=0>\n"
+        "<CI=0,Cro=1>\n"
+        "<CI=1,Cro=0>\n"
+        "<CI=1,Cro=1 CI=0,Cro=1>\n"
+        "<CI=1,Cro=1 CI=1,Cro=0>\n"
+    )
+
+
+def test_abstract_states_json_exits_2(files, capsys):
+    assert main(["abstract", files["PL2.mvn"], files["cro.map"], "--states", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--json applies to --traces only" in captured.err
+
+
 def test_traces_infinite_exits_2(files, capsys):
     assert main(["traces", files["branchy.mvn"]]) == 2
     assert "infinite" in capsys.readouterr().err
