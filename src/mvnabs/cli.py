@@ -15,11 +15,12 @@ from pathlib import Path
 from . import __version__
 from .abstraction import abstract_trace_set, enumerate_candidates
 from .checker import check_asyn_abs
-from .errors import MvnError
+from .errors import MvnError, ParseError
 from .model import iter_states, validate
 from .modelio import (
     export_dot,
     export_report,
+    ordered_lassos,
     parse_mapping,
     parse_model,
     serialize_mapping,
@@ -34,7 +35,10 @@ OK, REFUTED, ERROR = 0, 1, 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
 def _load_model(path: str):
@@ -51,7 +55,7 @@ def _labeler(model, named: bool = False):
 
 def _print_lassos(traces, label) -> None:
     """One line per lasso, ``<prefix (loop)*>``, in a fixed order."""
-    for t in sorted(traces, key=lambda t: (t.prefix + t.loop, t.loop)):
+    for t in ordered_lassos(traces):
         prefix = " ".join(label(s) for s in t.prefix)
         if t.is_finite:
             print(f"<{prefix}>")
@@ -113,7 +117,11 @@ def cmd_abstract(args) -> int:
         return ERROR
     model = _load_model(args.model)
     phi = parse_mapping(_read(args.mapping), model)
-    label = state_labeler(phi.target_max_levels)
+    # Abstract states keep the entity names, so --labels names both sides.
+    if args.labels:
+        label = _labeler(model, True)
+    else:
+        label = state_labeler(phi.target_max_levels)
     if args.states:
         source = _labeler(model, args.labels)
         for s in iter_states(model):
@@ -123,7 +131,7 @@ def cmd_abstract(args) -> int:
     if args.json:
         sys.stdout.write(export_report(image, phi.target_max_levels))
         return OK
-    _print_lassos(image, _labeler(model, True) if args.labels else label)
+    _print_lassos(image, label)
     return OK
 
 

@@ -338,6 +338,11 @@ def export_dot(graph: StateGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def ordered_lassos(traces) -> list[LassoTrace]:
+    """The output order of lassos: by state sequence, then by loop."""
+    return sorted(traces, key=lambda t: (t.prefix + t.loop, t.loop))
+
+
 def _trace_obj(trace: LassoTrace, label) -> dict:
     return {
         "prefix": [label(s) for s in trace.prefix],
@@ -402,8 +407,8 @@ def export_report(result, *max_levels) -> str:
         isinstance(t, LassoTrace) for t in result
     ):
         (label,) = labels
-        ordered = sorted(result, key=lambda t: (t.prefix + t.loop, t.loop))
-        obj = {"type": "traces", "traces": [_trace_obj(t, label) for t in ordered]}
+        traces = [_trace_obj(t, label) for t in ordered_lassos(result)]
+        obj = {"type": "traces", "traces": traces}
     else:
         raise TypeError(f"cannot export {type(result).__name__}")
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -1,11 +1,15 @@
 """Update semantics, state-graph construction, and attractor analysis.
 
-Two update disciplines are supported.  Under the synchronous discipline
-every entity updates simultaneously, so each state has exactly one
-successor (self-loops allowed).  Under the asynchronous discipline one
+Both update disciplines come from one rule, :func:`_next_levels`: each
+entity's next-state table applied to the current state, with input
+entities keeping their level.  It works column-wise, one column of next
+levels per entity over a whole batch of states, so a graph build applies
+it once to the full state space.  Under the synchronous discipline every
+entity updates simultaneously, so a state's one successor is its row of
+next levels (self-loops allowed).  Under the asynchronous discipline one
 entity updates at a time and only updates that actually change the
-state count, so successors are the single-entity updates that differ
-from the source and a state may have zero, one, or many of them.
+state count, so successors are the single-entity changes towards that
+row and a state may have zero, one, or many of them.
 
 Attractors are the long-run behaviours: under synchronous updates the
 unique cycles that iteration eventually enters; under asynchronous
@@ -14,9 +18,9 @@ nontrivial strongly connected components of the state graph.  Both
 kinds come from one Tarjan pass (:func:`strongly_connected_components`).
 
 State graphs are materialised explicitly (dict of sorted successor
-tuples).  This is deliberate: the models this package targets have tiny
-state spaces and an explicit graph keeps every downstream analysis
-trivially auditable.  Every search over them (reachability here, and
+tuples), which keeps every downstream analysis auditable.  Time and
+memory grow with the number of states, which is exponential in the
+number of entities.  Every search over them (reachability here, and
 the closures and witness bridges of the checker) is one breadth-first
 search, :func:`bfs`, with :func:`path_to` reading paths back from it.
 """
@@ -24,7 +28,7 @@ search, :func:`bfs`, with :func:`path_to` reading paths back from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import GlobalState, Mvn, iter_states, require_valid
 
@@ -32,18 +36,40 @@ SYNC = "sync"
 ASYNC = "async"
 
 
+def _next_levels(model: Mvn, states: Sequence[GlobalState]) -> list[Sequence[int]]:
+    """The one update rule: each entity's table output in every state.
+
+    Returns one column per entity, aligned with ``states``.  A table's
+    keys are read off by zipping its input columns, and input entities
+    keep their level.  Row ``k`` of the result (``zip(*columns)``) is
+    the synchronous successor of ``states[k]``.
+    """
+    current = list(zip(*states))
+    out: list[Sequence[int]] = []
+    for column, nb, table in zip(current, model.neighbourhoods, model.tables):
+        if nb.inputs:
+            keys = zip(*(current[j] for j in nb.inputs))
+            out.append(list(map(table.rows.__getitem__, keys)))
+        else:
+            out.append(column)
+    return out
+
+
+def _moves(state: GlobalState, target: GlobalState) -> list[GlobalState]:
+    """The single-entity changes of ``state`` towards ``target``."""
+    return [
+        state[:i] + (level,) + state[i + 1 :]
+        for i, level in enumerate(target)
+        if level != state[i]
+    ]
+
+
 def sync_step(model: Mvn, state: GlobalState) -> GlobalState:
     """Simultaneously update every entity via its table.
 
     Input entities keep their current level.
     """
-    out = []
-    for i in range(len(model.entities)):
-        if model.is_input(i):
-            out.append(state[i])
-        else:
-            out.append(model.tables[i].rows[model.inputs_of(i, state)])
-    return tuple(out)
+    return next(zip(*_next_levels(model, (state,))))
 
 
 def async_next(model: Mvn, state: GlobalState) -> frozenset[GlobalState]:
@@ -53,14 +79,7 @@ def async_next(model: Mvn, state: GlobalState) -> frozenset[GlobalState]:
     entity's level unchanged is not a step.  An empty result means the
     state is a point attractor.
     """
-    succs = set()
-    for i in range(len(model.entities)):
-        if model.is_input(i):
-            continue
-        level = model.tables[i].rows[model.inputs_of(i, state)]
-        if level != state[i]:
-            succs.add(state[:i] + (level,) + state[i + 1 :])
-    return frozenset(succs)
+    return frozenset(_moves(state, sync_step(model, state)))
 
 
 @dataclass(frozen=True)
@@ -96,10 +115,11 @@ def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
     if semantics not in (SYNC, ASYNC):
         raise ValueError(f"unknown semantics {semantics!r} (use {SYNC!r} or {ASYNC!r})")
     nodes = tuple(iter_states(model))
+    rows = zip(nodes, zip(*_next_levels(model, nodes)))
     if semantics == SYNC:
-        succ = {s: (sync_step(model, s),) for s in nodes}
+        succ = {s: (t,) for s, t in rows}
     else:
-        succ = {s: tuple(sorted(async_next(model, s))) for s in nodes}
+        succ = {s: tuple(sorted(_moves(s, t))) for s, t in rows}
     return StateGraph(name=model.name, semantics=semantics, nodes=nodes, succ=succ)
 
 

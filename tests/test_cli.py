@@ -156,6 +156,18 @@ def test_abstract_states(files, capsys):
     assert "12 -> 11" in capsys.readouterr().out
 
 
+def test_abstract_states_labels_name_both_sides(files, capsys):
+    assert main(["abstract", files["PL2.mvn"], files["cro.map"], "--states", "--labels"]) == 0
+    assert capsys.readouterr().out == (
+        "CI=0,Cro=0 -> CI=0,Cro=0\n"
+        "CI=0,Cro=1 -> CI=0,Cro=1\n"
+        "CI=0,Cro=2 -> CI=0,Cro=1\n"
+        "CI=1,Cro=0 -> CI=1,Cro=0\n"
+        "CI=1,Cro=1 -> CI=1,Cro=1\n"
+        "CI=1,Cro=2 -> CI=1,Cro=1\n"
+    )
+
+
 BIG_SOURCE = """mvn BIG
 entity A : 0..12
 entity B : 0..12
@@ -316,6 +328,16 @@ def test_oracle_check_unsupported_exit_2(files, tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "/nonexistent/model.mvn"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.mvn"
+    bad.write_bytes(b"mvn X\n\xff\n")
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(bad) in captured.err and "UTF-8" in captured.err
 
 
 def test_abstract_traces_infinite_exits_2(files, tmp_path, capsys):

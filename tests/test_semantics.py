@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from mvnabs import (
     async_next,
     attractors,
     build_state_graph,
+    export_dot,
     parse_model,
     reachable,
     sync_step,
@@ -49,12 +51,34 @@ def test_async_next(pl2, state, expected):
     assert async_next(pl2, state) == frozenset(expected)
 
 
+# SHA-256 of ``export_dot`` on MTRP (an input entity, mixed levels),
+# which fixes the order of its nodes and edges.
+MTRP_DOT_SHA256 = {
+    ASYNC: "42904e75269e238b83d882df799694163a054f18a2b20dd48a32b55b15397afb",
+    SYNC: "7134f29d46649116971932373fb7267acb9184aa07cca85aa6326c84bbfb5ff4",
+}
+
+
+def table_next(model, state):
+    """Each entity's next level, read straight from its table."""
+    return tuple(
+        model.tables[i].rows[tuple(state[j] for j in nb.inputs)] if nb.inputs else state[i]
+        for i, nb in enumerate(model.neighbourhoods)
+    )
+
+
 def test_async_graph_edges_exact(pl2):
     assert build_state_graph(pl2, ASYNC).edge_set() == PL2_ASYNC_EDGES
 
 
 def test_sync_graph_edges_exact(pl2):
     assert build_state_graph(pl2, SYNC).edge_set() == PL2_SYNC_EDGES
+
+
+@pytest.mark.parametrize("semantics", [ASYNC, SYNC])
+def test_mtrp_dot_text_is_pinned(mtrp, semantics):
+    text = export_dot(build_state_graph(mtrp, semantics))
+    assert hashlib.sha256(text.encode()).hexdigest() == MTRP_DOT_SHA256[semantics]
 
 
 def test_identity_model_has_no_async_edges():
@@ -147,6 +171,10 @@ def test_async_graph_invariants(seed):
         assert model.tables[i].rows[model.inputs_of(i, u)] == v[i]
     points = {s for s in graph.nodes if not graph.succ[s]}
     assert points == {s for s in graph.nodes if not async_next(model, s)}
+    for s in graph.nodes:
+        target = table_next(model, s)
+        moves = [s[:i] + (target[i],) + s[i + 1 :] for i in range(len(s)) if target[i] != s[i]]
+        assert graph.succ[s] == tuple(sorted(moves))
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,6 +185,7 @@ def test_sync_graph_invariants(seed):
     assert all(len(graph.succ[s]) == 1 for s in graph.nodes)
     for s in graph.nodes:
         assert graph.succ[s][0] == sync_step(model, s)
+        assert graph.succ[s] == (table_next(model, s),)
 
 
 @settings(max_examples=40, deadline=None)
