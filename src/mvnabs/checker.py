@@ -130,9 +130,10 @@ def _images(graph: StateGraph, phi: AbstractionMapping) -> dict[GlobalState, Glo
 
 def _stutter_graph(graph: StateGraph, image: dict[GlobalState, GlobalState]) -> StateGraph:
     """``graph`` with only its same-image steps kept."""
-    return StateGraph(graph.name, graph.semantics, graph.nodes, {
-        u: tuple(v for v in graph.succ[u] if image[v] == image[u]) for u in graph.nodes
-    })
+    images = list(map(image.__getitem__, graph.nodes))
+    return StateGraph(graph.name, graph.semantics, graph.nodes, tuple(
+        tuple(v for v in vs if images[v] == images[u]) for u, vs in enumerate(graph.out)
+    ))
 
 
 def consec_closure(mv2: Mvn, phi: AbstractionMapping, state: GlobalState) -> StateSet:
@@ -246,7 +247,8 @@ class _Context:
         same-image steps, so every such SCC that meets it lies inside.
         """
         cycles = (scc for scc in strongly_connected_components(self.stutter) if len(scc) > 1)
-        return frozenset(u for u in self.g2.nodes if not self.g2.succ[u]).union(*cycles)
+        nodes = self.g2.nodes
+        return frozenset(nodes[k] for k, vs in enumerate(self.g2.out) if not vs).union(*cycles)
 
     def closure(self, state: GlobalState) -> StateSet:
         return reachable_set(self.stutter, state)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -294,11 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Library warnings reach the user as one line each, not in
+        # Python's format with a source path and line.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except MvnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

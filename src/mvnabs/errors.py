@@ -69,6 +69,11 @@ class ClassTooLargeError(MvnError):
     enumeration (the checker enumerates all nonempty subsets)."""
 
 
+class StateSpaceTooLargeError(MvnError):
+    """A model's state space exceeds the state budget of graph
+    construction, so building its graph could exhaust memory."""
+
+
 class NonMonotoneMappingWarning(UserWarning):
     """A state mapping is not order-preserving.  Permitted, but often a
     sign that levels were merged in a biologically odd way."""

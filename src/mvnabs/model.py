@@ -9,8 +9,9 @@ outside the model and never changes during updates, so its table is a
 single placeholder row that the semantics ignore.
 
 A global state is a plain tuple of ints, one level per entity in
-declaration order.  All analysis modules treat these tuples as opaque
-hashable values.
+declaration order, and every public function takes and returns states
+in this form.  Inside a state graph each state is also a node index,
+its mixed-radix number (see :mod:`mvnabs.semantics`).
 """
 
 from __future__ import annotations

@@ -329,11 +329,11 @@ def export_dot(graph: StateGraph) -> str:
     """Deterministic DOT text: nodes then edges, both in lexicographic order."""
     # The last node of the whole lexicographic state space is the max levels.
     label = state_labeler(graph.nodes[-1])
+    labels = [f'"{label(s)}"' for s in graph.nodes]
     out = [f'digraph "{graph.name}_{graph.semantics}" {{']
-    for s in graph.nodes:
-        out.append(f'  "{label(s)}";')
-    for u, v in graph.edges():
-        out.append(f'  "{label(u)}" -> "{label(v)}";')
+    out.extend(f"  {text};" for text in labels)
+    for u, vs in enumerate(graph.out):
+        out.extend(f"  {labels[u]} -> {labels[v]};" for v in vs)
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -106,7 +106,7 @@ def random_model(rng: random.Random, name: str = "R") -> Mvn:
                 rows[key] = rng.randrange(max_levels[i] + 1)
             tables.append(NextStateTable(i, rows))
         model = Mvn(name, entities, tuple(neighbourhoods), tuple(tables))
-        if build_state_graph(model, ASYNC).edge_count > 0:
+        if any(build_state_graph(model, ASYNC).out):
             return model
 
 

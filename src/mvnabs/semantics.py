@@ -11,40 +11,66 @@ entity updates at a time and only updates that actually change the
 state count, so successors are the single-entity changes towards that
 row and a state may have zero, one, or many of them.
 
+Inside a graph every state is a node index: its mixed-radix number,
+with entity 0 the most significant digit, so ``nodes[k]`` is the state
+with index ``k`` and ascending index order is lexicographic order.  A
+graph holds, for every node, the sorted tuple of its successor indices
+(``StateGraph.out``).  An asynchronous step of entity ``i`` from level
+``a`` to ``b`` goes from node ``k`` to ``k + (b - a) * place[i]``, where
+``place[i]`` is the product of the range sizes of the entities after
+``i``; a synchronous step goes to the index of the row of next levels.
+States become tuples again only where they leave the module: ``nodes``,
+the ``succ`` view, attractors, components, reachable sets and paths.
+:meth:`StateGraph.index` is the one encoder, and it rejects states
+outside the space.
+
 Attractors are the long-run behaviours: under synchronous updates the
 unique cycles that iteration eventually enters; under asynchronous
 updates the states with no successors (point attractors) plus the
 nontrivial strongly connected components of the state graph.  Both
-kinds come from one Tarjan pass (:func:`strongly_connected_components`).
+kinds come from one Tarjan pass per graph, kept on the graph
+(:attr:`StateGraph.components`) and shared by every analysis of it.
 
-State graphs are materialised explicitly (dict of sorted successor
-tuples), which keeps every downstream analysis auditable.  Time and
-memory grow with the number of states, which is exponential in the
-number of entities.  Every search over them (reachability here, and
-the closures and witness bridges of the checker) is one breadth-first
-search, :func:`bfs`, with :func:`path_to` reading paths back from it.
+State graphs are materialised explicitly, which keeps every downstream
+analysis auditable.  Time and memory grow with the number of states,
+which is exponential in the number of entities, so a build refuses a
+state space above :data:`MAX_STATES`.  Every search over a graph
+(reachability here, and the closures and witness bridges of the
+checker) is one breadth-first search, :func:`bfs`, with
+:func:`path_to` reading paths back from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from itertools import count, repeat
+from operator import add, itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .model import GlobalState, Mvn, iter_states, require_valid
+from .errors import StateSpaceTooLargeError
+from .model import GlobalState, Mvn, iter_states, require_valid, state_space_size
 
 SYNC = "sync"
 ASYNC = "async"
 
+# The state budget of graph construction.  An asynchronous build peaks
+# at about 630 bytes per state and keeps about 290 (tracemalloc, 12
+# ternary entities of fan-in 2, 7.9 successors per state), so a graph at
+# the budget peaks near 0.7 GB.  3**12 = 531,441 states fit.
+MAX_STATES = 1 << 20
 
-def _next_levels(model: Mvn, states: Sequence[GlobalState]) -> list[Sequence[int]]:
+
+def _next_levels(model: Mvn, current: list[Sequence[int]]) -> list[Sequence[int]]:
     """The one update rule: each entity's table output in every state.
 
-    Returns one column per entity, aligned with ``states``.  A table's
-    keys are read off by zipping its input columns, and input entities
-    keep their level.  Row ``k`` of the result (``zip(*columns)``) is
-    the synchronous successor of ``states[k]``.
+    ``current`` holds one column of levels per entity over a batch of
+    states, and so does the result.  A table's keys are read off by
+    zipping its input columns, and input entities keep their level.
+    Row ``k`` of the result (``zip(*columns)``) is the synchronous
+    successor of the ``k``-th state.
     """
-    current = list(zip(*states))
     out: list[Sequence[int]] = []
     for column, nb, table in zip(current, model.neighbourhoods, model.tables):
         if nb.inputs:
@@ -69,7 +95,7 @@ def sync_step(model: Mvn, state: GlobalState) -> GlobalState:
 
     Input entities keep their current level.
     """
-    return next(zip(*_next_levels(model, (state,))))
+    return tuple(column[0] for column in _next_levels(model, list(zip(state))))
 
 
 def async_next(model: Mvn, state: GlobalState) -> frozenset[GlobalState]:
@@ -86,41 +112,123 @@ def async_next(model: Mvn, state: GlobalState) -> frozenset[GlobalState]:
 class StateGraph:
     """Explicit state graph of a model under one update discipline.
 
-    ``nodes`` is the full state space in lexicographic order and
-    ``succ`` maps every node to its sorted successor tuple, so all
-    iteration over the graph is deterministic.
+    ``nodes`` is the full state space in lexicographic order, so
+    ``nodes[k]`` is the state whose index is ``k``, and ``out[k]`` is
+    the sorted tuple of node ``k``'s successor indices; all iteration
+    over the graph is deterministic.  ``succ`` is the same relation on
+    states, decoded on each lookup.
     """
 
     name: str
     semantics: str
     nodes: tuple[GlobalState, ...]
-    succ: dict[GlobalState, tuple[GlobalState, ...]]
+    out: tuple[tuple[int, ...], ...]
+
+    def index(self, state: GlobalState) -> int:
+        """The node index of ``state``: its mixed-radix number.
+
+        Raises :class:`ValueError` unless ``state`` has one level per
+        entity, each within the entity's range.
+        """
+        top = self.nodes[-1]  # the last state of the space: every max level
+        if len(state) != len(top):
+            raise ValueError(f"state {state} does not have {len(top)} levels")
+        k = 0
+        for level, max_level in zip(state, top):
+            if not 0 <= level <= max_level:
+                raise ValueError(f"state {state} is outside the state space")
+            k = k * (max_level + 1) + level
+        return k
+
+    @cached_property
+    def succ(self) -> Mapping[GlobalState, tuple[GlobalState, ...]]:
+        return _Successors(self)
+
+    @cached_property
+    def components(self) -> list[list[int]]:
+        """The strongly connected components as node index lists.
+
+        Computed by one Tarjan pass (:func:`_tarjan`) on first use and
+        kept, so every analysis of the graph shares it.
+        """
+        return _tarjan(self.out)
 
     def edges(self) -> Iterator[tuple[GlobalState, GlobalState]]:
-        for u in self.nodes:
-            for v in self.succ[u]:
-                yield (u, v)
+        nodes = self.nodes
+        for u, vs in enumerate(self.out):
+            for v in vs:
+                yield (nodes[u], nodes[v])
 
     @property
     def edge_count(self) -> int:
-        return sum(len(self.succ[u]) for u in self.nodes)
+        return sum(map(len, self.out))
 
     def edge_set(self) -> set[tuple[GlobalState, GlobalState]]:
         return set(self.edges())
 
 
+class _Successors(Mapping):
+    """``graph.succ``: each state mapped to its sorted successor states."""
+
+    def __init__(self, graph: StateGraph):
+        self._graph = graph
+
+    def __getitem__(self, state: GlobalState) -> tuple[GlobalState, ...]:
+        graph = self._graph
+        try:
+            k = graph.index(state)
+        except (TypeError, ValueError):
+            raise KeyError(state) from None
+        return tuple(map(graph.nodes.__getitem__, graph.out[k]))
+
+    def __len__(self) -> int:
+        return len(self._graph.nodes)
+
+    def __iter__(self) -> Iterator[GlobalState]:
+        return iter(self._graph.nodes)
+
+
 def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
-    """Materialise the full state graph under the given discipline."""
+    """Materialise the full state graph under the given discipline.
+
+    Raises :class:`StateSpaceTooLargeError` before allocating anything
+    when the model has more than :data:`MAX_STATES` states.
+    """
     require_valid(model)
     if semantics not in (SYNC, ASYNC):
         raise ValueError(f"unknown semantics {semantics!r} (use {SYNC!r} or {ASYNC!r})")
+    size = state_space_size(model)
+    if size > MAX_STATES:
+        raise StateSpaceTooLargeError(
+            f"model {model.name}: {size} states exceed the budget of {MAX_STATES}"
+        )
     nodes = tuple(iter_states(model))
-    rows = zip(nodes, zip(*_next_levels(model, nodes)))
+    current = list(zip(*nodes))
+    columns = _next_levels(model, current)
+    # place[i]: how far node k moves when entity i goes up one level.
+    places = [1] * len(nodes[0])
+    for i in range(len(places) - 1, 0, -1):
+        places[i - 1] = places[i] * (nodes[-1][i] + 1)
     if semantics == SYNC:
-        succ = {s: (t,) for s, t in rows}
+        row = [0] * size
+        for column, place in zip(columns, places):
+            row = list(map(add, row, map(mul, column, repeat(place))))
+        out = tuple(zip(row))
     else:
-        succ = {s: tuple(sorted(_moves(s, t))) for s, t in rows}
-    return StateGraph(name=model.name, semantics=semantics, nodes=nodes, succ=succ)
+        moves = [
+            list(map(mul, map(sub, nxt, cur), repeat(place)))
+            for cur, nxt, place, nb in zip(current, columns, places, model.neighbourhoods)
+            if nb.inputs
+        ]
+        del current, columns  # freed before the successor lists are built
+        ids = list(range(size))  # one shared int per node index
+        rows = zip(ids, zip(*moves)) if moves else zip(ids, repeat(()))
+        # Node k steps by each of its nonzero moves.
+        out = tuple(
+            tuple(sorted(map(ids.__getitem__, map(k.__add__, filter(None, ds)))))
+            for k, ds in rows
+        )
+    return StateGraph(name=model.name, semantics=semantics, nodes=nodes, out=out)
 
 
 @dataclass(frozen=True)
@@ -159,56 +267,74 @@ class AttractorSet:
         return frozenset(out)
 
 
-def strongly_connected_components(graph: StateGraph) -> list[list[GlobalState]]:
-    """Tarjan's algorithm over the explicit graph.
+def _tarjan(out: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's algorithm over index successor lists.
 
     Iterative (explicit recursion stack) so deep graphs cannot hit the
-    interpreter recursion limit.  Components come out in reverse
-    topological order of the condensation; callers that need a stable
-    order should sort the result.
+    interpreter recursion limit.  Roots are tried in index order and
+    successors in list order; components come out in reverse
+    topological order of the condensation.
     """
-    index: dict[GlobalState, int] = {}
-    lowlink: dict[GlobalState, int] = {}
-    on_stack: set[GlobalState] = set()
-    stack: list[GlobalState] = []
-    sccs: list[list[GlobalState]] = []
+    n = len(out)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    order = count()
     # One frame per node on the depth-first path: the node and an
     # iterator over its successors not yet examined.
-    work: list[tuple[GlobalState, Iterator[GlobalState]]] = []
+    work: list[tuple[int, Iterator[int]]] = []
 
-    def enter(node: GlobalState) -> None:
-        index[node] = lowlink[node] = len(index)
+    def enter(node: int) -> None:
+        index[node] = lowlink[node] = next(order)
         stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(graph.succ[node])))
+        on_stack[node] = True
+        work.append((node, iter(out[node])))
 
-    for root in graph.nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         enter(root)
         while work:
             node, successors = work[-1]
             for child in successors:
-                if child not in index:
+                if index[child] < 0:
                     enter(child)
                     break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
+                if on_stack[child] and index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
             else:
                 work.pop()
                 if lowlink[node] == index[node]:
                     scc = []
                     while True:
                         top = stack.pop()
-                        on_stack.discard(top)
+                        on_stack[top] = False
                         scc.append(top)
                         if top == node:
                             break
                     sccs.append(scc)
                 if work:
                     parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
     return sccs
+
+
+def strongly_connected_components(graph: StateGraph) -> list[list[GlobalState]]:
+    """The graph's strongly connected components, as lists of states.
+
+    Decoded from :attr:`StateGraph.components`, in its order: reverse
+    topological order of the condensation.  Callers that need a stable
+    order should sort the result.
+    """
+    nodes = graph.nodes
+    return [[nodes[k] for k in comp] for comp in graph.components]
+
+
+def _states(graph: StateGraph, nodes: Iterable[int]) -> frozenset[GlobalState]:
+    return frozenset(map(graph.nodes.__getitem__, nodes))
 
 
 def attractors(graph: StateGraph) -> AttractorSet:
@@ -222,29 +348,33 @@ def attractors(graph: StateGraph) -> AttractorSet:
     single state with a self-loop is a ``"point"``, a larger SCC a
     ``"cycle"``.
     """
-    found: list[Attractor] = []
+    out = graph.out
+    found: list[tuple[int, Attractor]] = []  # keyed by the smallest member
     if graph.semantics == ASYNC:
-        for s in graph.nodes:
-            if not graph.succ[s]:
-                found.append(Attractor("point", frozenset({s}), True))
-    for scc in strongly_connected_components(graph):
+        for k, vs in enumerate(out):
+            if not vs:
+                found.append((k, Attractor("point", frozenset({graph.nodes[k]}), True)))
+    for comp in graph.components:
         if graph.semantics == ASYNC:
-            if len(scc) > 1:  # async graphs have no self-loops
-                members = frozenset(scc)
-                terminal = all(set(graph.succ[u]) <= members for u in members)
-                found.append(Attractor("scc", members, terminal))
-        elif len(scc) > 1:
-            found.append(Attractor("cycle", frozenset(scc), True))
-        elif scc[0] in graph.succ[scc[0]]:
-            found.append(Attractor("point", frozenset(scc), True))
-    found.sort(key=lambda a: min(a.states))
-    return AttractorSet(graph.semantics, tuple(found))
+            if len(comp) > 1:  # async graphs have no self-loops
+                members = set(comp)
+                terminal = all(v in members for u in comp for v in out[u])
+                found.append((min(comp), Attractor("scc", _states(graph, comp), terminal)))
+        elif len(comp) > 1:
+            found.append((min(comp), Attractor("cycle", _states(graph, comp), True)))
+        elif comp[0] in out[comp[0]]:
+            found.append((comp[0], Attractor("point", _states(graph, comp), True)))
+    found.sort(key=itemgetter(0))
+    return AttractorSet(graph.semantics, tuple(a for _, a in found))
+
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def bfs(
-    parents: dict[GlobalState, GlobalState | None],
-    step: Callable[[GlobalState], Iterable[GlobalState]],
-) -> Iterator[GlobalState]:
+    parents: dict[Node, Node | None],
+    step: Callable[[Node], Iterable[Node]],
+) -> Iterator[Node]:
     """Breadth-first search from the keys of ``parents``.
 
     ``parents`` belongs to the caller and starts with every source
@@ -262,9 +392,7 @@ def bfs(
                 yield v
 
 
-def path_to(
-    parents: dict[GlobalState, GlobalState | None], node: GlobalState
-) -> tuple[GlobalState, ...]:
+def path_to(parents: dict[Node, Node | None], node: Node) -> tuple[Node, ...]:
     """The search path from a source to ``node``, both included."""
     path = [node]
     while parents[path[-1]] is not None:
@@ -279,22 +407,25 @@ def reachable(
 
     Paths of length zero count, so every state reaches itself (witness:
     the empty path).  For a positive answer the witness is the full
-    state sequence of a shortest path, endpoints included.
+    state sequence of a shortest path, endpoints included.  Raises
+    :class:`ValueError` for a state outside the graph.
     """
-    if source not in graph.succ or target not in graph.succ:
-        raise ValueError("both states must belong to the graph")
-    if source == target:
+    s, t = graph.index(source), graph.index(target)
+    if s == t:
         return True, ()
-    parents: dict[GlobalState, GlobalState | None] = {source: None}
-    for v in bfs(parents, graph.succ.__getitem__):
-        if v == target:
-            return True, path_to(parents, v)
+    parents: dict[int, int | None] = {s: None}
+    for v in bfs(parents, graph.out.__getitem__):
+        if v == t:
+            return True, tuple(map(graph.nodes.__getitem__, path_to(parents, v)))
     return False, None
 
 
 def reachable_set(graph: StateGraph, source: GlobalState) -> frozenset[GlobalState]:
-    """All states reachable from ``source`` (including itself)."""
-    parents: dict[GlobalState, GlobalState | None] = {source: None}
-    for _ in bfs(parents, graph.succ.__getitem__):
+    """All states reachable from ``source`` (including itself).
+
+    Raises :class:`ValueError` for a state outside the graph.
+    """
+    parents: dict[int, int | None] = {graph.index(source): None}
+    for _ in bfs(parents, graph.out.__getitem__):
         pass
-    return frozenset(parents)
+    return _states(graph, parents)

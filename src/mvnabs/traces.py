@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InfiniteTraceSetError
 from .model import GlobalState, Mvn
-from .semantics import ASYNC, SYNC, StateGraph, build_state_graph, strongly_connected_components
+from .semantics import ASYNC, SYNC, StateGraph, build_state_graph
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,8 @@ def trace_set_is_finite(graph: StateGraph) -> bool:
     """
     if graph.semantics != ASYNC:
         raise ValueError("finiteness criterion applies to asynchronous graphs")
-    for scc in strongly_connected_components(graph):
-        if len(scc) < 2:
-            continue
-        if any(len(graph.succ[s]) != 1 for s in scc):
-            return False
-    return True
+    out = graph.out
+    return all(len(out[k]) == 1 for comp in graph.components if len(comp) > 1 for k in comp)
 
 
 def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
@@ -139,16 +135,22 @@ def _walk(graph: StateGraph) -> TraceSet:
     """The lassos of a depth-first walk from every state of ``graph``.
 
     A walk ends at a successor-free state (finite trace) or closes into
-    a lasso the first time it revisits a state on the current path.
+    a lasso the first time it revisits a state on the current path.  It
+    runs over node indices and decodes each lasso as it is found.
     """
+    nodes, out = graph.nodes, graph.out
+
+    def states(path) -> tuple[GlobalState, ...]:
+        return tuple(map(nodes.__getitem__, path))
+
     traces: set[LassoTrace] = set()
-    for s0 in graph.nodes:
-        if not graph.succ[s0]:
-            traces.add(LassoTrace((s0,), ()))
+    for s0, first in enumerate(out):
+        if not first:
+            traces.add(LassoTrace((nodes[s0],), ()))
             continue
         path = [s0]
         pos = {s0: 0}
-        iters = [iter(graph.succ[s0])]
+        iters = [iter(first)]
         while iters:
             nxt = next(iters[-1], None)
             if nxt is None:
@@ -157,14 +159,14 @@ def _walk(graph: StateGraph) -> TraceSet:
                 continue
             if nxt in pos:
                 i = pos[nxt]
-                traces.add(canonicalize(LassoTrace(tuple(path[:i]), tuple(path[i:]))))
+                traces.add(canonicalize(LassoTrace(states(path[:i]), states(path[i:]))))
                 continue
-            if not graph.succ[nxt]:
-                traces.add(LassoTrace(tuple(path) + (nxt,), ()))
+            if not out[nxt]:
+                traces.add(LassoTrace(states(path + [nxt]), ()))
                 continue
             pos[nxt] = len(path)
             path.append(nxt)
-            iters.append(iter(graph.succ[nxt]))
+            iters.append(iter(out[nxt]))
     return frozenset(traces)
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from mvnabs import fixtures
+from mvnabs import fixtures, semantics
 from mvnabs.cli import main
+from tests.test_semantics import HUGE_SOURCE
 from tests.test_traces import BRANCHY_SOURCE
 
 
@@ -168,6 +169,15 @@ def test_abstract_states_labels_name_both_sides(files, capsys):
     )
 
 
+def test_library_warning_is_one_line(files, tmp_path, capsys):
+    flip = tmp_path / "flip.map"
+    flip.write_text("CI: identity\nCro: 0->1, 1->0, 2->1\n", encoding="utf-8")
+    assert main(["abstract", files["PL2.mvn"], str(flip), "--states"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: entity 1: state mapping (1, 0, 1) is not order-preserving\n"
+    assert captured.out.startswith("00 -> 01\n")
+
+
 BIG_SOURCE = """mvn BIG
 entity A : 0..12
 entity B : 0..12
@@ -328,6 +338,22 @@ def test_oracle_check_unsupported_exit_2(files, tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "/nonexistent/model.mvn"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_state_budget_exits_2(tmp_path, monkeypatch, capsys):
+    huge = tmp_path / "huge.mvn"
+    huge.write_text(HUGE_SOURCE, encoding="utf-8")
+
+    def enumerate_states(model):
+        raise AssertionError("the state space was enumerated")
+
+    monkeypatch.setattr(semantics, "iter_states", enumerate_states)
+    assert main(["graph", str(huge), "--dot", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model HUGE: 1152921504606846976 states exceed the budget of 1048576\n"
+    )
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):

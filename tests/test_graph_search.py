@@ -3,19 +3,30 @@
 Covers the breadth-first search behind reachability and closures, and
 the Tarjan pass behind both kinds of attractor, on seeded random
 networks large enough that a depth-first witness is usually not a
-shortest one.
+shortest one.  Wide networks, with ranges up to LEVEL_CAP and an input
+entity, also exercise the mixed-radix state indices.
 """
 
 import itertools
+import math
 import random
 
 import networkx as nx
 import pytest
 
-from mvnabs import ASYNC, SYNC, attractors, build_state_graph, fixtures, reachable
+from mvnabs import (
+    ASYNC,
+    SYNC,
+    async_next,
+    attractors,
+    build_state_graph,
+    fixtures,
+    reachable,
+    sync_step,
+)
 from mvnabs.abstraction import AbstractionMapping, StateMapping
 from mvnabs.checker import _Context
-from mvnabs.model import Entity, Mvn, Neighbourhood, NextStateTable
+from mvnabs.model import LEVEL_CAP, Entity, Mvn, Neighbourhood, NextStateTable
 from mvnabs.oracle import random_instance
 from mvnabs.semantics import reachable_set
 
@@ -41,7 +52,41 @@ def random_network(seed: int) -> Mvn:
     return Mvn(f"N{seed}", entities, neighbourhoods, tables)
 
 
+def wide_network(seed: int) -> Mvn:
+    """3 or 4 entities (at most 3000 states) with mixed ranges of up to
+    LEVEL_CAP + 1 levels: one entity at the cap, one input entity, and
+    every other entity reading 1 or 2 random inputs."""
+    rng = random.Random(seed)
+    n = 3 + seed % 2
+    while True:
+        max_levels = [LEVEL_CAP] + [rng.choice([1, 2, 4, 9, 12]) for _ in range(n - 1)]
+        rng.shuffle(max_levels)
+        if math.prod(m + 1 for m in max_levels) <= 3000:
+            break
+    held = rng.randrange(n)
+    entities = tuple(Entity(f"W{i}", m) for i, m in enumerate(max_levels))
+    neighbourhoods = tuple(
+        Neighbourhood(i, tuple(sorted(rng.sample(range(n), rng.randint(1, 2)))))
+        if i != held else Neighbourhood(i, ())
+        for i in range(n)
+    )
+    tables = tuple(
+        NextStateTable(i, {
+            key: rng.randrange(max_levels[i] + 1)
+            for key in itertools.product(*(range(max_levels[j] + 1) for j in nb.inputs))
+        } if nb.inputs else {(): 0})
+        for i, nb in enumerate(neighbourhoods)
+    )
+    return Mvn(f"W{seed}", entities, neighbourhoods, tables)
+
+
 SEEDS = range(16)
+WIDE_SEEDS = range(16, 20)
+NETWORK_SEEDS = [*SEEDS, *WIDE_SEEDS]
+
+
+def network(seed: int) -> Mvn:
+    return random_network(seed) if seed in SEEDS else wide_network(seed)
 
 
 def nx_graph(graph) -> nx.DiGraph:
@@ -63,9 +108,27 @@ def walked_cycles(graph) -> set:
     return cycles
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", NETWORK_SEEDS)
+def test_state_indices_and_successors(seed):
+    model = network(seed)
+    for discipline in (ASYNC, SYNC):
+        graph = build_state_graph(model, discipline)
+        assert graph.nodes == tuple(
+            itertools.product(*(range(m + 1) for m in model.max_levels))
+        )
+        assert [graph.index(s) for s in graph.nodes] == list(range(len(graph.nodes)))
+        for s, successors in zip(graph.nodes, graph.out):
+            decoded = tuple(graph.nodes[v] for v in successors)
+            assert graph.succ[s] == decoded
+            if discipline == ASYNC:
+                assert decoded == tuple(sorted(async_next(model, s)))
+            else:
+                assert decoded == (sync_step(model, s),)
+
+
+@pytest.mark.parametrize("seed", NETWORK_SEEDS)
 def test_attractors_match_references(seed):
-    model = random_network(seed)
+    model = network(seed)
     graph = build_state_graph(model, ASYNC)
     g = nx_graph(graph)
     expected = {("point", frozenset({s}), True) for s in g if g.out_degree(s) == 0}
@@ -86,9 +149,9 @@ def test_attractors_match_references(seed):
     assert [min(a.states) for a in found] == sorted(min(a.states) for a in found)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", NETWORK_SEEDS)
 def test_reachability_matches_networkx(seed):
-    graph = build_state_graph(random_network(seed), ASYNC)
+    graph = build_state_graph(network(seed), ASYNC)
     g = nx_graph(graph)
     rng = random.Random(seed)
     for source in rng.sample(graph.nodes, min(8, len(graph.nodes))):

@@ -16,7 +16,11 @@ from mvnabs import (
     reachable,
     sync_step,
 )
+from mvnabs import semantics
+from mvnabs.errors import StateSpaceTooLargeError
+from mvnabs.model import state_space_size
 from mvnabs.oracle import random_model
+from mvnabs.semantics import reachable_set
 
 PL2_ASYNC_EDGES = {
     ((0, 0), (0, 1)), ((0, 0), (1, 0)),
@@ -155,6 +159,36 @@ def test_reachable_rejects_foreign_states(pl2):
     graph = build_state_graph(pl2, ASYNC)
     with pytest.raises(ValueError):
         reachable(graph, (9, 9), (0, 1))
+    for state in [(0, 3), (-1, 1), (0,), (0, 0, 0)]:
+        with pytest.raises(ValueError):
+            reachable(graph, state, (0, 1))
+        with pytest.raises(ValueError):
+            reachable(graph, (0, 1), state)
+        with pytest.raises(ValueError):
+            reachable_set(graph, state)
+
+
+# 15 entities of 16 levels each, every one holding its level at 0.
+HUGE_SOURCE = (
+    "mvn HUGE\n"
+    + "".join(f"entity X{i} : 0..15\n" for i in range(15))
+    + "".join(f"neighbourhood X{i} = [X{i}]\n" for i in range(15))
+    + "".join(f"table X{i}:\n  {','.join(map(str, range(16)))} -> 0\n" for i in range(15))
+)
+
+
+def test_state_budget_is_checked_before_building(monkeypatch):
+    model = parse_model(HUGE_SOURCE)
+    assert state_space_size(model) == 16**15
+    assert 3**12 <= semantics.MAX_STATES < 16**15
+
+    def enumerate_states(model):
+        raise AssertionError("the state space was enumerated")
+
+    monkeypatch.setattr(semantics, "iter_states", enumerate_states)
+    for discipline in (ASYNC, SYNC):
+        with pytest.raises(StateSpaceTooLargeError, match="HUGE: 1152921504606846976 states"):
+            build_state_graph(model, discipline)
 
 
 @settings(max_examples=60, deadline=None)
