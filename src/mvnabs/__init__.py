@@ -23,6 +23,7 @@ from .errors import (
     NotClosedError,
     ParseError,
     StructureMismatchError,
+    TooManyCandidatesError,
     UnsupportedError,
 )
 from .model import (

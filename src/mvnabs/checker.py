@@ -49,8 +49,13 @@ are walked in ``itertools.combinations`` order (by size, then
 lexicographically), and each one's derived sets are those of the
 subset without its top member ORed with the top member's own, so a
 class of k states costs 2^k ORs and one table of 2^k integers.
-Validity is a bit test on the packed value; ``StepTerm`` objects are
-built only for valid subsets, with one shared frozenset per bitmask.
+Validity is a bit test on the packed value.  The sweeps run on these
+integers too: a term is its gamma's bitmask and packed derived sets,
+and the derived set T(S_i) is one slot of the packed value, so the
+subset test is ``g & ~t == 0``.  Objects are built only at the edge:
+the state sets of the recorded removals, and ``StepTerm`` objects for
+the surviving family when the abstraction holds, with one shared
+frozenset per bitmask.  The 2^|class| walk itself remains.
 
 Every walk over same-image steps reads one graph, the concrete
 asynchronous graph with only its same-image ("stutter") steps kept,
@@ -99,7 +104,8 @@ from .semantics import (
 )
 
 # Step terms are enumerated over all nonempty subsets of a concrete
-# class and every valid one is materialised as a ``StepTerm``, so time
+# class.  Only the survivors become ``StepTerm`` objects, but every
+# valid subset is kept as a pair of ints until the sweeps end, so time
 # and memory still grow as 2^|class|; past this size a check would not
 # finish in useful time.
 MAX_CLASS_SIZE = 20
@@ -325,8 +331,9 @@ class _Context:
         mask = sum(1 << self.index[g] for g in gamma)
         return self._term(state, layout, mask, _derived(layout, mask))
 
-    def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
-        """Valid terms in the order: subsets by size, then lexicographic.
+    def valid_subsets(self, state: GlobalState) -> dict[int, int]:
+        """``{gamma mask: packed derived sets}`` of the valid terms of
+        ``state``, in the order: subsets by size, then lexicographic.
 
         The derived sets of each subset are those of the subset without
         its top member, ORed with the top member's own.
@@ -342,15 +349,24 @@ class _Context:
         bits = [1 << j for j in range(len(klass))]
         post = dict(zip(bits, layout.post))
         derived = [0] * (1 << len(klass))
-        terms = []
+        valid = {}
         for r in range(1, len(klass) + 1):
             for combo in itertools.combinations(bits, r):
                 top = combo[-1]
                 mask = sum(combo)
                 packed = derived[mask] = derived[mask - top] | post[top]
                 if (packed + fill) & guards == guards and not mask & unsettleable:
-                    terms.append(self._term(state, layout, mask, packed))
-        return terms
+                    valid[mask] = packed
+        return valid
+
+    def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
+        """Valid terms in the order of :meth:`valid_subsets`."""
+        return self.build_terms(state, self.valid_subsets(state))
+
+    def build_terms(self, state: GlobalState, terms: dict[int, int]) -> list[StepTerm]:
+        """``StepTerm`` objects for ``{gamma mask: packed derived sets}``."""
+        layout = self._layout(state)
+        return [self._term(state, layout, mask, packed) for mask, packed in terms.items()]
 
     def refuting_pair(self) -> tuple[GlobalState, int] | None:
         """The first bad pair of the forward search, or ``None``.
@@ -430,18 +446,13 @@ class StepTermFamily:
                 raise NotClosedError(f"no step terms left for abstract state {state}")
             for term in by_gamma.values():
                 for s_i, t in term.successors:
-                    if not _realizable(self.terms.get(s_i, {}), t):
+                    # realisable: some gamma of S_i lies inside t
+                    family = self.terms.get(s_i, {})
+                    if t not in family and not any(gamma <= t for gamma in family):
                         raise NotClosedError(
                             f"term for {state} needs a realisation of {s_i} "
                             f"inside {sorted(t)}, and the family has none"
                         )
-
-
-def _realizable(family_terms: dict, derived: StateSet) -> bool:
-    """Does the family hold a term whose gamma lies inside ``derived``?"""
-    if derived in family_terms:
-        return True
-    return any(gamma <= derived for gamma in family_terms)
 
 
 @dataclass(frozen=True)
@@ -503,14 +514,15 @@ def check_asyn_abs(
     (including at initialisation); proved at the first sweep with no
     removals.  The verdict and the surviving family are independent of
     sweep order; ``sweep_rng`` randomises the order and exists so tests
-    can demonstrate exactly that.
+    can demonstrate exactly that.  The sweeps run on bitmasks (see the
+    module docstring); ``StepTerm`` objects are built only for the
+    family returned when the abstraction holds.
     """
     ctx = _Context(mv1, mv2, phi)
-    terms: dict[GlobalState, dict[StateSet, StepTerm]] = {}
-    for state in ctx.g1.nodes:
-        terms[state] = {t.gamma: t for t in ctx.all_step_terms(state)}
+    # alive[S]: gamma mask -> packed derived sets, one per surviving term
+    alive = {state: ctx.valid_subsets(state) for state in ctx.g1.nodes}
 
-    initial = sum(len(v) for v in terms.values())
+    initial = sum(len(v) for v in alive.values())
     max_class = max(len(klass) for klass in ctx.classes.values())
     removals: list[Removal] = []
 
@@ -521,7 +533,7 @@ def check_asyn_abs(
             initial_terms=initial,
             removed_terms=len(removals),
             iterations=iterations,
-            surviving_terms={s: len(v) for s, v in terms.items()},
+            surviving_terms={s: len(v) for s, v in alive.items()},
         )
 
     def failure(state: GlobalState, reason: str, iterations: int) -> CheckResult:
@@ -529,8 +541,12 @@ def check_asyn_abs(
         return CheckResult(False, None, witness, stats(iterations))
 
     for state in ctx.g1.nodes:
-        if not terms[state]:
+        if not alive[state]:
             return failure(state, "no valid step term realises this state", 0)
+
+    # Each sweep visits a state's gammas in the order of their sorted
+    # member lists, filtered to the survivors.
+    order = {state: sorted(masks, key=_lex_key) for state, masks in alive.items()}
 
     iterations = 0
     while True:
@@ -540,26 +556,52 @@ def check_asyn_abs(
         if sweep_rng is not None:
             sweep_rng.shuffle(states)
         for state in states:
-            gammas = sorted(terms[state], key=sorted)
+            survivors = alive[state]
+            masks = [mask for mask in order[state] if mask in survivors]
             if sweep_rng is not None:
-                sweep_rng.shuffle(gammas)
-            for gamma in gammas:
-                term = terms[state][gamma]
-                for s_i, t in term.successors:
-                    if not _realizable(terms[s_i], t):
-                        del terms[state][gamma]
-                        removals.append(Removal(state, gamma, s_i, t))
+                sweep_rng.shuffle(masks)
+            slots = ctx._layout(state).slots
+            for mask in masks:
+                packed = survivors[mask]
+                for s_i, offset, ones in slots:
+                    t = packed >> offset & ones
+                    # realisable: some surviving gamma of S_i lies inside t
+                    if t not in alive[s_i] and all(g & ~t for g in alive[s_i]):
+                        del survivors[mask]
+                        removals.append(Removal(
+                            state, ctx._subsets[state][mask], s_i, ctx._subsets[s_i][t]
+                        ))
                         removed_this_sweep = True
                         break
-            if not terms[state]:
+            if not survivors:
                 return failure(
                     state, "all step terms for this state were pruned", iterations
                 )
         if not removed_this_sweep:
             break
 
+    terms = {
+        state: {term.gamma: term for term in ctx.build_terms(state, survivors)}
+        for state, survivors in alive.items()
+    }
     family = StepTermFamily(mv1=mv1, mv2=mv2, phi=phi, terms=terms)
     return CheckResult(True, family, None, stats(iterations))
+
+
+# Reversed, bin() puts bit j at position j.  Written "0" for a member and
+# "1" for a non-member, two masks compare as their ascending member lists
+# do: at the first difference the mask holding the lower member is
+# smaller, and a prefix (no member above) is smaller.
+_MEMBER_FIRST = str.maketrans("01", "10")
+
+
+def _lex_key(mask: int) -> str:
+    """Sort key ordering bitmasks over a class like their sorted gammas.
+
+    Classes are lexicographic, so ``sorted(gamma)`` lists the members in
+    ascending class position.
+    """
+    return bin(mask)[:1:-1].translate(_MEMBER_FIRST)
 
 
 def witness_path(

@@ -74,6 +74,11 @@ class StateSpaceTooLargeError(MvnError):
     construction, so building its graph could exhaust memory."""
 
 
+class TooManyCandidatesError(MvnError):
+    """A mapping admits more candidate abstract models than the budget
+    of candidate enumeration."""
+
+
 class NonMonotoneMappingWarning(UserWarning):
     """A state mapping is not order-preserving.  Permitted, but often a
     sign that levels were merged in a biologically odd way."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mvnabs import (
     AbstractionMapping,
+    TooManyCandidatesError,
     LassoTrace,
     MappingError,
     MappingMismatchError,
@@ -24,8 +25,20 @@ from mvnabs import (
     serialize_model,
     sync_traces,
 )
+from mvnabs import abstraction
 from mvnabs.fixtures import APL2_SOURCE
 from mvnabs.oracle import random_mapping, random_model
+
+# 16 entities, each read only by itself; compressing 1 and 2 together
+# leaves one abstract row per entity with two admissible outputs, so the
+# mapping admits 2**16 candidates.
+MANY_CHOICES_SOURCE = (
+    "mvn MANY\n"
+    + "".join(f"entity X{i} : 0..2\n" for i in range(16))
+    + "".join(f"neighbourhood X{i} = [X{i}]\n" for i in range(16))
+    + "".join(f"table X{i}:\n  0 -> 0\n  1 -> 0\n  2 -> 1\n" for i in range(16))
+)
+MANY_CHOICES_MAP = "\n".join(f"X{i}: 0->0,1->1,2->1" for i in range(16))
 
 ABSTRACTED_PL2 = {
     LassoTrace(((0, 0), (0, 1)), ()),
@@ -151,6 +164,28 @@ def test_enumerate_candidates_single_when_unambiguous():
     phi = parse_mapping("X: 0->0,1->1,2->1", model)
     cands = enumerate_candidates(model, phi)
     assert len(cands) == 1 and cands.choice_points == ()
+
+
+def _refuse_models(*args, **kwargs):
+    raise AssertionError("a candidate model was built")
+
+
+def test_candidate_budget_is_checked_before_building(monkeypatch):
+    model = parse_model(MANY_CHOICES_SOURCE)
+    phi = parse_mapping(MANY_CHOICES_MAP, model)
+    assert abstraction.MAX_CANDIDATES < 2**16
+    monkeypatch.setattr(abstraction, "Mvn", _refuse_models)
+    with pytest.raises(TooManyCandidatesError, match=r"65536 candidate .* \(16 choice points\)"):
+        enumerate_candidates(model, phi)
+
+
+def test_candidate_budget_bound_is_inclusive(monkeypatch, mtrp, phi_trp):
+    monkeypatch.setattr(abstraction, "MAX_CANDIDATES", 4)
+    assert len(enumerate_candidates(mtrp, phi_trp)) == 4
+    monkeypatch.setattr(abstraction, "MAX_CANDIDATES", 3)
+    monkeypatch.setattr(abstraction, "Mvn", _refuse_models)
+    with pytest.raises(TooManyCandidatesError, match="admits 4 candidate"):
+        enumerate_candidates(mtrp, phi_trp)
 
 
 def test_candidates_preserve_structure_and_serialize(mtrp, phi_trp):

@@ -5,9 +5,16 @@ import pytest
 
 from mvnabs import (
     ASYNC,
+    AbstractionMapping,
     ClassTooLargeError,
+    Entity,
     GammaOutOfClassError,
+    Mvn,
+    Neighbourhood,
+    NextStateTable,
     NotClosedError,
+    StateMapping,
+    StepTerm,
     StepTermFamily,
     all_step_terms,
     build_state_graph,
@@ -21,6 +28,8 @@ from mvnabs import (
     parse_model,
     witness_path,
 )
+from mvnabs import checker
+from mvnabs.checker import CheckStats, FailureWitness, Removal, _Context
 from mvnabs.fixtures import APL2_SOURCE
 from mvnabs.oracle import random_instance
 
@@ -501,3 +510,142 @@ def test_witness_path_requires_closed_family(apl2, pl2, rho_cro):
             StepTermFamily(family.mv1, family.mv2, family.phi, crippled),
             ((0, 0), (0, 1)),
         )
+
+
+def _reference_sweep(phi, terms, sweep_rng=None):
+    """The sweep of ``check_asyn_abs`` written on frozensets: gammas
+    sorted as state lists and subset tests between state sets.
+
+    ``terms`` maps each abstract state to its ``all_step_terms`` list.
+    Returns ``(holds, stats, witness, family items)``.
+    """
+    family = {s: {t.gamma: t for t in ts} for s, ts in terms.items()}
+    initial = sum(len(v) for v in family.values())
+    max_class = max(len(concrete_class(phi, s)) for s in family)
+    removals = []
+
+    def outcome(holds, state, reason, iterations):
+        stats = CheckStats(
+            abstract_states=len(family),
+            max_class_size=max_class,
+            initial_terms=initial,
+            removed_terms=len(removals),
+            iterations=iterations,
+            surviving_terms={s: len(v) for s, v in family.items()},
+        )
+        if holds:
+            return True, stats, None, [(s, list(v.items())) for s, v in family.items()]
+        return False, stats, FailureWitness(state, reason, tuple(removals)), None
+
+    def realizable(by_gamma, derived):
+        return derived in by_gamma or any(gamma <= derived for gamma in by_gamma)
+
+    for state in family:
+        if not family[state]:
+            return outcome(False, state, "no valid step term realises this state", 0)
+    iterations = 0
+    while True:
+        iterations += 1
+        removed = False
+        states = list(family)
+        if sweep_rng is not None:
+            sweep_rng.shuffle(states)
+        for state in states:
+            gammas = sorted(family[state], key=sorted)
+            if sweep_rng is not None:
+                sweep_rng.shuffle(gammas)
+            for gamma in gammas:
+                for s_i, t in family[state][gamma].successors:
+                    if not realizable(family[s_i], t):
+                        del family[state][gamma]
+                        removals.append(Removal(state, gamma, s_i, t))
+                        removed = True
+                        break
+            if not family[state]:
+                return outcome(
+                    False, state, "all step terms for this state were pruned", iterations
+                )
+        if not removed:
+            return outcome(True, None, None, iterations)
+
+
+def _all_compressed_triple(rng):
+    """4 ternary entities of fan-in 2, all compressed by 0->0,1->1,2->1.
+
+    Concrete outputs mostly respect one abstract table, so candidates
+    stay few; the abstract model is one of them.  Classes have up to 16
+    states.
+    """
+    pre = [[0], [1, 2]]
+    inputs = [tuple(sorted(rng.sample(range(4), 2))) for _ in range(4)]
+    tables = []
+    for i in range(4):
+        rows = {}
+        for u in itertools.product(range(2), repeat=2):
+            target = pre[rng.randrange(2)]
+            for x in itertools.product(pre[u[0]], pre[u[1]]):
+                rows[x] = rng.choice(target) if rng.random() >= 0.1 else rng.randrange(3)
+        tables.append(NextStateTable(i, rows))
+    mv2 = Mvn(
+        "Q",
+        tuple(Entity(f"X{i}", 2) for i in range(4)),
+        tuple(Neighbourhood(i, inputs[i]) for i in range(4)),
+        tuple(tables),
+    )
+    phi = AbstractionMapping(mv2.max_levels, tuple(StateMapping(i, (0, 1, 1)) for i in range(4)))
+    return rng.choice(enumerate_candidates(mv2, phi).models), mv2, phi
+
+
+def test_mask_sweep_matches_reference_sweep(apl2, apl2_bad, pl2, rho_cro, atrp, mtrp, phi_trp):
+    triples = [(apl2, pl2, rho_cro), (apl2_bad, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
+    rng = random.Random(909)
+    triples += [random_instance(rng) for _ in range(120)]
+    # holds, refuted while pruning, refuted at initialisation
+    triples += [_all_compressed_triple(random.Random(seed)) for seed in (33, 13, 14)]
+    verdicts, removals, classes = set(), 0, 0
+    for k, (mv1, mv2, phi) in enumerate(triples):
+        ctx = _Context(mv1, mv2, phi)
+        terms = {s: ctx.all_step_terms(s) for s in ctx.g1.nodes}
+        for shuffle in (False, True):
+            expected = _reference_sweep(phi, terms, random.Random(k) if shuffle else None)
+            result = check_asyn_abs(
+                mv1, mv2, phi, sweep_rng=random.Random(k) if shuffle else None
+            )
+            family = None
+            if result.holds:
+                family = [(s, list(v.items())) for s, v in result.family.terms.items()]
+            assert (result.holds, result.stats, result.witness, family) == expected
+            verdicts.add(result.holds)
+            removals += result.stats.removed_terms
+            classes = max(classes, result.stats.max_class_size)
+    assert verdicts == {True, False} and removals > 0 and classes == 16
+
+
+def test_step_terms_built_only_for_the_returned_family(
+    monkeypatch, apl2, apl2_bad, pl2, rho_cro, atrp, mtrp, phi_trp
+):
+    built = []
+
+    class CountingStepTerm(StepTerm):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(checker, "StepTerm", CountingStepTerm)
+    triples = [(apl2, pl2, rho_cro), (apl2_bad, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
+    triples += [_all_compressed_triple(random.Random(seed)) for seed in (33, 13, 15)]
+    outcomes = set()
+    for mv1, mv2, phi in triples:
+        built.clear()
+        result = check_asyn_abs(mv1, mv2, phi)
+        if result.holds:
+            assert len(built) == sum(result.stats.surviving_terms.values()) > 0
+            assert all(type(t) is CountingStepTerm for v in result.family.terms.values()
+                       for t in v.values())
+        else:
+            assert built == []
+        outcomes.add((result.holds, bool(result.witness and result.witness.removals)))
+    # holds, refuted at initialisation and refuted while pruning
+    assert outcomes == {(True, False), (False, False), (False, True)}

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from mvnabs import fixtures, semantics
+from mvnabs import abstraction, fixtures, semantics
 from mvnabs.cli import main
+from tests.test_abstraction import MANY_CHOICES_MAP, MANY_CHOICES_SOURCE
 from tests.test_semantics import HUGE_SOURCE
 from tests.test_traces import BRANCHY_SOURCE
 
@@ -354,6 +355,27 @@ def test_state_budget_exits_2(tmp_path, monkeypatch, capsys):
     assert captured.err == (
         "error: model HUGE: 1152921504606846976 states exceed the budget of 1048576\n"
     )
+
+
+def test_candidate_budget_exits_2(tmp_path, monkeypatch, capsys):
+    model = tmp_path / "many.mvn"
+    model.write_text(MANY_CHOICES_SOURCE, encoding="utf-8")
+    mapping = tmp_path / "many.map"
+    mapping.write_text(MANY_CHOICES_MAP, encoding="utf-8")
+
+    def build_model(*args, **kwargs):
+        raise AssertionError("a candidate model was built")
+
+    monkeypatch.setattr(abstraction, "Mvn", build_model)
+    out_dir = tmp_path / "out"
+    assert main(["candidates", str(model), str(mapping), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: mapping admits 65536 candidate abstractions of MANY "
+        "(16 choice points), over the budget of 16384\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
