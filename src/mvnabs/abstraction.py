@@ -164,13 +164,18 @@ def require_same_structure(mv1: Mvn, mv2: Mvn) -> None:
             )
 
 
-def require_mapping_fits(phi: AbstractionMapping, mv1: Mvn, mv2: Mvn) -> None:
-    """``phi`` must map ``mv2``'s state space onto ``mv1``'s."""
-    if not phi.fits_source(mv2):
+def require_source_fits(phi: AbstractionMapping, model: Mvn) -> None:
+    """``phi`` must read ``model``'s states."""
+    if not phi.fits_source(model):
         raise MappingMismatchError(
             f"mapping source ranges {phi.source_max_levels} do not match "
-            f"{mv2.name} ranges {mv2.max_levels}"
+            f"{model.name} ranges {model.max_levels}"
         )
+
+
+def require_mapping_fits(phi: AbstractionMapping, mv1: Mvn, mv2: Mvn) -> None:
+    """``phi`` must map ``mv2``'s state space onto ``mv1``'s."""
+    require_source_fits(phi, mv2)
     if not phi.fits_target(mv1):
         raise MappingMismatchError(
             f"mapping target ranges {phi.target_max_levels} do not match "
@@ -264,11 +269,7 @@ def enumerate_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
     Raises :class:`TooManyCandidatesError` before building any model
     when that product exceeds :data:`MAX_CANDIDATES`.
     """
-    if not phi.fits_source(model):
-        raise MappingMismatchError(
-            f"mapping source ranges {phi.source_max_levels} do not match "
-            f"{model.name} ranges {model.max_levels}"
-        )
+    require_source_fits(phi, model)
     target_max = phi.target_max_levels
     entities = tuple(
         Entity(e.name, target_max[i]) for i, e in enumerate(model.entities)

@@ -39,29 +39,34 @@ greatest closed subfamily, so the verdict does not depend on sweep
 order.  Successor sets are a pure function of (S, Gamma), so terms are
 keyed by that pair and the closure test scans one family.
 
-Each check computes its tables once: the image of every concrete state
-(one ``phi.apply`` each), every class as a list in lexicographic order,
-the closure of every concrete state and, per concrete state g, the
-derived sets of {g} alone as bitmasks over the successor classes,
-packed into one integer.  A subset Gamma of a class is a bitmask too,
-and its derived sets are the OR of its members' entries.  The subsets
-are walked in ``itertools.combinations`` order (by size, then
-lexicographically), and each one's derived sets are those of the
-subset without its top member ORed with the top member's own, so a
-class of k states costs 2^k ORs and one table of 2^k integers.
-Validity is a bit test on the packed value.  The sweeps run on these
-integers too: a term is its gamma's bitmask and packed derived sets,
-and the derived set T(S_i) is one slot of the packed value, so the
-subset test is ``g & ~t == 0``.  Objects are built only at the edge:
-the state sets of the recorded removals, and ``StepTerm`` objects for
-the surviving family when the abstraction holds, with one shared
-frozenset per bitmask.  The 2^|class| walk itself remains.
+Each check computes its tables once, on node indices, as flat arrays:
+the abstract index of every concrete node (summed column-wise from
+per-entity tables of ``phi.level_image``, with no ``phi.apply`` call),
+every class as the ascending list of its members' indices, each
+node's position in its class, the closure of every concrete node and,
+per concrete node g, the derived sets of {g} alone as bitmasks over
+the successor classes, packed into one integer.  A subset Gamma of a
+class is a bitmask too, and its derived sets are the OR of its
+members' entries.  The subsets are walked in ``itertools.combinations``
+order (by size, then lexicographically), and each one's derived sets
+are those of the subset without its top member ORed with the top
+member's own, so a class of k states costs 2^k ORs and one table of
+2^k integers.  Validity is a bit test on the packed value.  The sweeps
+run on these integers too: a term is its gamma's bitmask and packed
+derived sets, and the derived set T(S_i) is one slot of the packed
+value, so the subset test is ``g & ~t == 0``; it looks the submasks of
+T(S_i) up when they are fewer than the surviving terms.  States become
+tuples only at the edge: the recorded removals, ``CheckStats`` and the
+``StepTerm`` objects of the surviving family when the abstraction
+holds, with one shared frozenset per bitmask, each built from the
+set of the mask without its lowest bit.  The 2^|class| walk itself
+remains.
 
 Every walk over same-image steps reads one graph, the concrete
 asynchronous graph with only its same-image ("stutter") steps kept,
 built once per check.  A closure is a breadth-first search on it.  The
-states where a run can settle are the concrete dead ends plus the
-members of its SCCs of two or more states, found by one Tarjan pass
+nodes where a run can settle are the concrete dead ends plus the
+members of its SCCs of two or more nodes, read from its Tarjan pass
 when the first abstract point attractor needs them; a member can
 settle when its closure meets them.  The same-image bridges that
 :func:`witness_path` inserts are breadth-first paths on it too.
@@ -90,6 +95,7 @@ from .abstraction import (
     AbstractionMapping,
     require_mapping_fits,
     require_same_structure,
+    require_source_fits,
 )
 from .errors import ClassTooLargeError, GammaOutOfClassError, NotClosedError
 from .model import GlobalState, Mvn
@@ -100,7 +106,6 @@ from .semantics import (
     build_state_graph,
     path_to,
     reachable_set,
-    strongly_connected_components,
 )
 
 # Step terms are enumerated over all nonempty subsets of a concrete
@@ -129,23 +134,36 @@ def concrete_class(phi: AbstractionMapping, state: GlobalState) -> StateSet:
     )
 
 
-def _images(graph: StateGraph, phi: AbstractionMapping) -> dict[GlobalState, GlobalState]:
-    """The image under ``phi`` of every state of ``graph``."""
-    return {u: phi.apply(u) for u in graph.nodes}
+def _image_index(phi: AbstractionMapping) -> list[int]:
+    """The abstract node index of every concrete node index under ``phi``.
+
+    Built column-wise like the node numbering itself: entity i
+    contributes ``level_image(i, level)`` times its abstract place, and
+    extending every index so far by each level of the next entity lists
+    the concrete nodes in index order.
+    """
+    places = [1] * len(phi.slots)
+    for i in range(len(places) - 1, 0, -1):
+        places[i - 1] = places[i] * (phi.target_max_levels[i] + 1)
+    images = [0]
+    for i, (top, place) in enumerate(zip(phi.source_max_levels, places)):
+        column = [phi.level_image(i, level) * place for level in range(top + 1)]
+        images = [a + b for a in images for b in column]
+    return images
 
 
-def _stutter_graph(graph: StateGraph, image: dict[GlobalState, GlobalState]) -> StateGraph:
+def _stutter_graph(graph: StateGraph, images: list[int]) -> StateGraph:
     """``graph`` with only its same-image steps kept."""
-    images = list(map(image.__getitem__, graph.nodes))
     return StateGraph(graph.name, graph.semantics, graph.nodes, tuple(
-        tuple(v for v in vs if images[v] == images[u]) for u, vs in enumerate(graph.out)
+        tuple(v for v in vs if images[v] == a) for vs, a in zip(graph.out, images)
     ))
 
 
 def consec_closure(mv2: Mvn, phi: AbstractionMapping, state: GlobalState) -> StateSet:
     """Least set containing ``state`` and closed under same-image steps."""
+    require_source_fits(phi, mv2)
     graph = build_state_graph(mv2, ASYNC)
-    return reachable_set(_stutter_graph(graph, _images(graph, phi)), state)
+    return reachable_set(_stutter_graph(graph, _image_index(phi)), state)
 
 
 @dataclass(frozen=True)
@@ -175,20 +193,20 @@ class StepTerm:
 class _Layout:
     """The derived sets of one abstract state S, packed into one int.
 
-    A subset of a class is a bitmask over the class in lexicographic
-    order.  ``slots`` gives, for each abstract successor S_i, the bit
-    offset and the all-ones mask of its slot; the slot is a bitmask
-    over class(S_i), with one guard bit above it that stays 0.
-    ``post[j]`` packs the derived sets of class member j alone, so the
-    derived sets of a subset are the OR of its members' entries.  Adding
-    ``fill`` (every slot all ones) carries into a slot's guard bit
-    exactly when the slot is nonzero, so a packed value ``t`` has no
-    empty derived set iff ``(t + fill) & guards == guards``.
+    A subset of a class is a bitmask over the class in ascending index
+    order.  ``slots`` gives, for each abstract successor S_i, its node
+    index, the bit offset and the all-ones mask of its slot; the slot
+    is a bitmask over class(S_i), with one guard bit above it that
+    stays 0.  ``post[j]`` packs the derived sets of class member j
+    alone, so the derived sets of a subset are the OR of its members'
+    entries.  Adding ``fill`` (every slot all ones) carries into a
+    slot's guard bit exactly when the slot is nonzero, so a packed value
+    ``t`` has no empty derived set iff ``(t + fill) & guards == guards``.
     ``unsettleable`` marks the members that cannot settle; it is used
     only when S has no abstract successors.
     """
 
-    slots: tuple[tuple[GlobalState, int, int], ...]
+    slots: tuple[tuple[int, int, int], ...]
     post: tuple[int, ...]
     fill: int
     guards: int
@@ -198,30 +216,39 @@ class _Layout:
 class _Subsets(dict):
     """Bitmask -> the members of one class it selects, built on first use.
 
-    One frozenset per mask, shared by every term that refers to it.
+    One frozenset per mask, shared by every term that refers to it.  A
+    mask's set is the set of the mask without its lowest bit unioned
+    with that member's singleton, so each union reuses stored hashes.
     """
 
-    def __init__(self, klass: list[GlobalState]):
-        super().__init__()
+    def __init__(self, klass: list[int], nodes: tuple[GlobalState, ...]):
+        super().__init__({0: frozenset()})
         self.klass = klass
+        self.nodes = nodes
 
     def __missing__(self, mask: int) -> StateSet:
-        # bin() lists the bits high to low; reversed, bit j meets klass[j]
-        bits = map(int, bin(mask)[:1:-1])
-        found = self[mask] = frozenset(itertools.compress(self.klass, bits))
+        rest = mask & (mask - 1)
+        if rest:
+            found = self[rest] | self[mask ^ rest]
+        else:
+            found = frozenset((self.nodes[self.klass[mask.bit_length() - 1]],))
+        self[mask] = found
         return found
 
 
 class _Context:
-    """Shared per-check data, each piece computed once per check.
+    """Shared per-check data on node indices, each piece computed once
+    per check.
 
-    ``image`` holds the image of every concrete state, ``classes`` every
-    abstract state's class in lexicographic order, ``index`` each
-    concrete state's position in its class and ``stutter`` the concrete
-    graph with only its same-image steps.  Three things are memoised on
-    first use: the states where a run can settle (one Tarjan pass), the
-    packed derived sets of each abstract state (:class:`_Layout`) and
-    the state set of each bitmask (``_subsets``).
+    ``image_index[k]`` is the abstract node index of concrete node k,
+    ``members[a]`` the concrete nodes of abstract node a's class in
+    ascending order, ``pos[k]`` node k's position in its class and
+    ``stutter`` the concrete graph with only its same-image steps.
+    Three things are memoised on first use: the nodes where a run can
+    settle (from the stutter graph's Tarjan pass), the packed derived
+    sets of each abstract node (:class:`_Layout`) and the state set of
+    each bitmask (``_subsets``).  ``image``, :meth:`closure` and
+    :meth:`settleable` are views on states, for callers outside.
     """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
@@ -232,125 +259,145 @@ class _Context:
         self.phi = phi
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
-        self.image = _images(self.g2, phi)
-        self.stutter = _stutter_graph(self.g2, self.image)
-        self.classes: dict[GlobalState, list[GlobalState]] = {s: [] for s in self.g1.nodes}
-        self.index: dict[GlobalState, int] = {}
-        for u in self.g2.nodes:  # lexicographic, so every class is sorted
-            klass = self.classes[self.image[u]]
-            self.index[u] = len(klass)
-            klass.append(u)
-        self._layouts: dict[GlobalState, _Layout] = {}
-        self._subsets = {s: _Subsets(klass) for s, klass in self.classes.items()}
+        self.image_index = _image_index(phi)
+        self.stutter = _stutter_graph(self.g2, self.image_index)
+        self.members: list[list[int]] = [[] for _ in self.g1.nodes]
+        self.pos: list[int] = []
+        for k, a in enumerate(self.image_index):  # ascending, so every class is sorted
+            klass = self.members[a]
+            self.pos.append(len(klass))
+            klass.append(k)
+        self._layouts: dict[int, _Layout] = {}
+        self._subsets = [_Subsets(klass, self.g2.nodes) for klass in self.members]
 
     @cached_property
-    def _settling(self) -> frozenset[GlobalState]:
-        """The dead ends of the concrete graph and the states on a
+    def image(self) -> dict[GlobalState, GlobalState]:
+        """The image under ``phi`` of every concrete state."""
+        return dict(zip(self.g2.nodes, map(self.g1.nodes.__getitem__, self.image_index)))
+
+    @cached_property
+    def _settling(self) -> set[int]:
+        """The dead ends of the concrete graph and the nodes on a
         same-image cycle.
 
         Asynchronous graphs have no self-loops, so a same-image cycle is
-        a stutter SCC of two or more states.  A closure is closed under
+        a stutter SCC of two or more nodes.  A closure is closed under
         same-image steps, so every such SCC that meets it lies inside.
         """
-        cycles = (scc for scc in strongly_connected_components(self.stutter) if len(scc) > 1)
-        nodes = self.g2.nodes
-        return frozenset(nodes[k] for k, vs in enumerate(self.g2.out) if not vs).union(*cycles)
+        settling = {k for k, vs in enumerate(self.g2.out) if not vs}
+        for comp in self.stutter.components:
+            if len(comp) > 1:
+                settling.update(comp)
+        return settling
+
+    def _closure(self, k: int) -> dict[int, int | None]:
+        """The nodes of node k's closure, as the keys of a BFS tree."""
+        parents: dict[int, int | None] = {k: None}
+        for _ in bfs(parents, self.stutter.out.__getitem__):
+            pass
+        return parents
 
     def closure(self, state: GlobalState) -> StateSet:
-        return reachable_set(self.stutter, state)
+        return frozenset(map(self.g2.nodes.__getitem__, self._closure(self.g2.index(state))))
 
     def settleable(self, state: GlobalState) -> bool:
         """Can a maximal run from ``state`` stay inside its image class?"""
-        return not self._settling.isdisjoint(self.closure(state))
+        return not self._settling.isdisjoint(self._closure(self.g2.index(state)))
 
-    def _class(self, state: GlobalState) -> list[GlobalState]:
-        if state not in self.classes:
-            raise ValueError(f"state {state} is outside the abstract state space")
-        return self.classes[state]
+    def _node(self, state: GlobalState) -> int:
+        """The abstract node index of ``state``."""
+        try:
+            return self.g1.index(state)
+        except (TypeError, ValueError):
+            raise ValueError(f"state {state} is outside the abstract state space") from None
 
-    def _layout(self, state: GlobalState) -> _Layout:
-        if state not in self._layouts:
-            succs = self.g1.succ[state]
+    def _layout(self, a: int) -> _Layout:
+        if a not in self._layouts:
+            succs = self.g1.out[a]
             slots, offset, fill, guards = [], 0, 0, 0
+            offset_of = {}
             for s_i in succs:
-                width = len(self.classes[s_i])
+                width = len(self.members[s_i])
                 ones = (1 << width) - 1
                 slots.append((s_i, offset, ones))
+                offset_of[s_i] = offset
                 fill |= ones << offset
                 guards |= 1 << (offset + width)
                 offset += width + 1
-            offset_of = {s_i: off for s_i, off, _ in slots}
+            out, images, pos = self.g2.out, self.image_index, self.pos
             post, unsettleable = [], 0
-            for j, g in enumerate(self.classes[state]):
-                closure = self.closure(g)
+            for j, g in enumerate(self.members[a]):
+                closure = self._closure(g)
                 packed = 0
                 for u in closure:
-                    for v in self.g2.succ[u]:
-                        off = offset_of.get(self.image[v])
+                    for v in out[u]:
+                        off = offset_of.get(images[v])
                         if off is not None:
-                            packed |= 1 << (off + self.index[v])
+                            packed |= 1 << (off + pos[v])
                 post.append(packed)
                 if not succs and self._settling.isdisjoint(closure):
                     unsettleable |= 1 << j
-            self._layouts[state] = _Layout(
-                tuple(slots), tuple(post), fill, guards, unsettleable
-            )
-        return self._layouts[state]
+            self._layouts[a] = _Layout(tuple(slots), tuple(post), fill, guards, unsettleable)
+        return self._layouts[a]
 
-    def _term(self, state: GlobalState, layout: _Layout, mask: int, packed: int) -> StepTerm:
+    def _term(self, a: int, layout: _Layout, mask: int, packed: int) -> StepTerm:
+        nodes = self.g1.nodes
+        state = nodes[a]
         successors = []
         reason = None
         for s_i, offset, ones in layout.slots:
             t = packed >> offset & ones
-            successors.append((s_i, self._subsets[s_i][t]))
+            successors.append((nodes[s_i], self._subsets[s_i][t]))
             if not t and reason is None:
-                reason = f"no concrete step realises {state} -> {s_i}"
+                reason = f"no concrete step realises {state} -> {nodes[s_i]}"
         stuck = mask & layout.unsettleable
         if stuck and reason is None:
             # The lowest bit is the first unsettleable member in order.
-            g = self.classes[state][(stuck & -stuck).bit_length() - 1]
+            g = self.g2.nodes[self.members[a][(stuck & -stuck).bit_length() - 1]]
             reason = (
                 f"{state} is a point attractor but every maximal run "
                 f"from {g} leaves its image class"
             )
         return StepTerm(
             state=state,
-            gamma=self._subsets[state][mask],
+            gamma=self._subsets[a][mask],
             successors=tuple(successors),
             valid=reason is None,
             invalid_reason=reason,
         )
 
     def step_term(self, state: GlobalState, gamma: StateSet) -> StepTerm:
-        self._class(state)
-        if not gamma or any(self.image.get(g) != state for g in gamma):
+        a = self._node(state)
+        klass = {self.g2.nodes[k]: self.pos[k] for k in self.members[a]}
+        if not gamma or not klass.keys() >= gamma:
             raise GammaOutOfClassError(
                 f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
             )
-        layout = self._layout(state)
-        mask = sum(1 << self.index[g] for g in gamma)
-        return self._term(state, layout, mask, _derived(layout, mask))
+        mask = sum(1 << klass[g] for g in gamma)
+        layout = self._layout(a)
+        return self._term(a, layout, mask, _derived(layout, mask))
 
-    def valid_subsets(self, state: GlobalState) -> dict[int, int]:
+    def valid_subsets(self, a: int) -> dict[int, int]:
         """``{gamma mask: packed derived sets}`` of the valid terms of
-        ``state``, in the order: subsets by size, then lexicographic.
+        abstract node ``a``, in the order: subsets by size, then
+        lexicographic.
 
         The derived sets of each subset are those of the subset without
         its top member, ORed with the top member's own.
         """
-        klass = self._class(state)
-        if len(klass) > MAX_CLASS_SIZE:
+        size = len(self.members[a])
+        if size > MAX_CLASS_SIZE:
             raise ClassTooLargeError(
-                f"abstract state {state} has {len(klass)} concrete states; "
+                f"abstract state {self.g1.nodes[a]} has {size} concrete states; "
                 f"subset enumeration is capped at {MAX_CLASS_SIZE}"
             )
-        layout = self._layout(state)
+        layout = self._layout(a)
         fill, guards, unsettleable = layout.fill, layout.guards, layout.unsettleable
-        bits = [1 << j for j in range(len(klass))]
+        bits = [1 << j for j in range(size)]
         post = dict(zip(bits, layout.post))
-        derived = [0] * (1 << len(klass))
+        derived = [0] * (1 << size)
         valid = {}
-        for r in range(1, len(klass) + 1):
+        for r in range(1, size + 1):
             for combo in itertools.combinations(bits, r):
                 top = combo[-1]
                 mask = sum(combo)
@@ -361,32 +408,33 @@ class _Context:
 
     def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
         """Valid terms in the order of :meth:`valid_subsets`."""
-        return self.build_terms(state, self.valid_subsets(state))
+        a = self._node(state)
+        return self.build_terms(a, self.valid_subsets(a))
 
-    def build_terms(self, state: GlobalState, terms: dict[int, int]) -> list[StepTerm]:
+    def build_terms(self, a: int, terms: dict[int, int]) -> list[StepTerm]:
         """``StepTerm`` objects for ``{gamma mask: packed derived sets}``."""
-        layout = self._layout(state)
-        return [self._term(state, layout, mask, packed) for mask, packed in terms.items()]
+        layout = self._layout(a)
+        return [self._term(a, layout, mask, packed) for mask, packed in terms.items()]
 
     def refuting_pair(self) -> tuple[GlobalState, int] | None:
         """The first bad pair of the forward search, or ``None``.
 
-        A pair is an abstract state and a bitmask over its class.  It is
+        A pair is an abstract node and a bitmask over its class.  It is
         bad when no member can go on: the mask is empty (the step into
         the state had no concrete realisation), or the state has no
         abstract successors and no member can settle.
         """
-        parents = {(s, (1 << len(k)) - 1): None for s, k in self.classes.items()}
+        parents = {(a, (1 << len(k)) - 1): None for a, k in enumerate(self.members)}
 
         def successors(pair):
             layout = self._layout(pair[0])
             packed = _derived(layout, pair[1])
             return [(s_i, packed >> offset & ones) for s_i, offset, ones in layout.slots]
 
-        for state, mask in itertools.chain(list(parents), bfs(parents, successors)):
+        for a, mask in itertools.chain(list(parents), bfs(parents, successors)):
             # Only members of point states are ever unsettleable.
-            if not mask & ~self._layout(state).unsettleable:
-                return state, mask
+            if not mask & ~self._layout(a).unsettleable:
+                return self.g1.nodes[a], mask
         return None
 
 
@@ -519,73 +567,95 @@ def check_asyn_abs(
     family returned when the abstraction holds.
     """
     ctx = _Context(mv1, mv2, phi)
-    # alive[S]: gamma mask -> packed derived sets, one per surviving term
-    alive = {state: ctx.valid_subsets(state) for state in ctx.g1.nodes}
+    nodes = ctx.g1.nodes
+    # alive[a]: gamma mask -> packed derived sets, one per surviving term
+    alive = [ctx.valid_subsets(a) for a in range(len(nodes))]
 
-    initial = sum(len(v) for v in alive.values())
-    max_class = max(len(klass) for klass in ctx.classes.values())
+    initial = sum(map(len, alive))
+    max_class = max(map(len, ctx.members))
     removals: list[Removal] = []
 
     def stats(iterations: int) -> CheckStats:
         return CheckStats(
-            abstract_states=len(ctx.g1.nodes),
+            abstract_states=len(nodes),
             max_class_size=max_class,
             initial_terms=initial,
             removed_terms=len(removals),
             iterations=iterations,
-            surviving_terms={s: len(v) for s, v in alive.items()},
+            surviving_terms=dict(zip(nodes, map(len, alive))),
         )
 
-    def failure(state: GlobalState, reason: str, iterations: int) -> CheckResult:
-        witness = FailureWitness(state=state, reason=reason, removals=tuple(removals))
+    def failure(a: int, reason: str, iterations: int) -> CheckResult:
+        witness = FailureWitness(state=nodes[a], reason=reason, removals=tuple(removals))
         return CheckResult(False, None, witness, stats(iterations))
 
-    for state in ctx.g1.nodes:
-        if not alive[state]:
-            return failure(state, "no valid step term realises this state", 0)
+    for a, survivors in enumerate(alive):
+        if not survivors:
+            return failure(a, "no valid step term realises this state", 0)
 
     # Each sweep visits a state's gammas in the order of their sorted
-    # member lists, filtered to the survivors.
-    order = {state: sorted(masks, key=_lex_key) for state, masks in alive.items()}
+    # member lists, filtered to the survivors.  Masks are sorted once
+    # per class size.
+    by_size: dict[int, list[int]] = {}
+    order = []
+    for klass, survivors in zip(ctx.members, alive):
+        if len(klass) not in by_size:
+            by_size[len(klass)] = sorted(range(1, 1 << len(klass)), key=_lex_key)
+        order.append([mask for mask in by_size[len(klass)] if mask in survivors])
 
     iterations = 0
     while True:
         iterations += 1
         removed_this_sweep = False
-        states = list(ctx.g1.nodes)
+        states = list(range(len(nodes)))
         if sweep_rng is not None:
             sweep_rng.shuffle(states)
-        for state in states:
-            survivors = alive[state]
-            masks = [mask for mask in order[state] if mask in survivors]
+        for a in states:
+            survivors = alive[a]
+            masks = [mask for mask in order[a] if mask in survivors]
             if sweep_rng is not None:
                 sweep_rng.shuffle(masks)
-            slots = ctx._layout(state).slots
+            slots = ctx._layout(a).slots
             for mask in masks:
                 packed = survivors[mask]
                 for s_i, offset, ones in slots:
                     t = packed >> offset & ones
                     # realisable: some surviving gamma of S_i lies inside t
-                    if t not in alive[s_i] and all(g & ~t for g in alive[s_i]):
+                    if t not in alive[s_i] and not _has_submask(alive[s_i], t):
                         del survivors[mask]
                         removals.append(Removal(
-                            state, ctx._subsets[state][mask], s_i, ctx._subsets[s_i][t]
+                            nodes[a], ctx._subsets[a][mask],
+                            nodes[s_i], ctx._subsets[s_i][t],
                         ))
                         removed_this_sweep = True
                         break
             if not survivors:
-                return failure(
-                    state, "all step terms for this state were pruned", iterations
-                )
+                return failure(a, "all step terms for this state were pruned", iterations)
         if not removed_this_sweep:
             break
 
     terms = {
-        state: {term.gamma: term for term in ctx.build_terms(state, survivors)}
-        for state, survivors in alive.items()
+        nodes[a]: {term.gamma: term for term in ctx.build_terms(a, survivors)}
+        for a, survivors in enumerate(alive)
     }
     family = StepTermFamily(mv1=mv1, mv2=mv2, phi=phi, terms=terms)
     return CheckResult(True, family, None, stats(iterations))
+
+
+def _has_submask(family: dict[int, int], t: int) -> bool:
+    """Does some mask of ``family`` lie inside ``t``?
+
+    Walks the submasks of ``t`` when there are fewer of them than masks
+    in the family, and scans the family otherwise.
+    """
+    if 1 << t.bit_count() < len(family):
+        sub = t
+        while sub:
+            if sub in family:
+                return True
+            sub = (sub - 1) & t
+        return False
+    return not all(g & ~t for g in family)
 
 
 # Reversed, bin() puts bit j at position j.  Written "0" for a member and
@@ -621,11 +691,12 @@ def witness_path(
         raise ValueError("the abstract path must contain at least one state")
     family.check_closed()
     ctx = _Context(family.mv1, family.mv2, family.phi)
-    for s in gamma_path:
-        ctx._class(s)  # ValueError outside the abstract state space
-    for a, b in zip(gamma_path, gamma_path[1:]):
-        if b not in ctx.g1.succ[a]:
-            raise ValueError(f"{a} -> {b} is not an abstract asynchronous step")
+    steps = list(map(ctx._node, gamma_path))  # ValueError outside the abstract space
+    for i, (a, b) in enumerate(zip(steps, steps[1:])):
+        if b not in ctx.g1.out[a]:
+            raise ValueError(
+                f"{gamma_path[i]} -> {gamma_path[i + 1]} is not an abstract asynchronous step"
+            )
 
     first = gamma_path[0]
     gammas: list[StateSet] = [min(family.gammas(first), key=sorted)]
@@ -638,23 +709,25 @@ def witness_path(
             min((g for g in family.gammas(nxt) if g <= derived), key=sorted)
         )
 
-    # Backward concrete chaining, smallest states first for determinism.
-    path: list[GlobalState] = [min(gammas[-1])]
+    # Backward concrete chaining on node indices, smallest first for
+    # determinism.
+    g2 = ctx.g2
+    path: list[int] = [g2.index(min(gammas[-1]))]
     for i in range(len(gamma_path) - 2, -1, -1):
         target = path[0]
         bridge = None
-        for a in sorted(gammas[i]):
-            parents: dict[GlobalState, GlobalState | None] = {a: None}
-            reached = bfs(parents, ctx.stutter.succ.__getitem__)
+        for a in sorted(map(g2.index, gammas[i])):
+            parents: dict[int, int | None] = {a: None}
+            reached = bfs(parents, ctx.stutter.out.__getitem__)
             for u in itertools.chain((a,), reached):
-                if target in ctx.g2.succ[u]:
+                if target in g2.out[u]:
                     bridge = list(path_to(parents, u))
                     break
             if bridge is not None:
                 break
         if bridge is None:  # impossible for a closed family, by construction
             raise NotClosedError(
-                f"no member of {sorted(gammas[i])} reaches {target}"
+                f"no member of {sorted(gammas[i])} reaches {g2.nodes[target]}"
             )
         path = bridge + path
-    return tuple(path)
+    return tuple(map(g2.nodes.__getitem__, path))

@@ -140,8 +140,10 @@ class StateGraph:
             k = k * (max_level + 1) + level
         return k
 
-    @cached_property
+    @property
     def succ(self) -> Mapping[GlobalState, tuple[GlobalState, ...]]:
+        # A fresh view per read: a cached one would make every graph a
+        # reference cycle, freed only by the cyclic collector.
         return _Successors(self)
 
     @cached_property

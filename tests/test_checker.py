@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from mvnabs import (
     ClassTooLargeError,
     Entity,
     GammaOutOfClassError,
+    MappingMismatchError,
     Mvn,
     Neighbourhood,
     NextStateTable,
@@ -142,6 +145,11 @@ def test_consec_closure_examples(pl2, rho_cro):
     assert consec_closure(pl2, rho_cro, (0, 1)) == {(0, 1), (0, 2)}
     assert consec_closure(pl2, rho_cro, (0, 0)) == {(0, 0)}
     assert consec_closure(pl2, rho_cro, (1, 0)) == {(1, 0)}
+
+
+def test_consec_closure_rejects_foreign_mapping(pl2, phi_trp):
+    with pytest.raises(MappingMismatchError):
+        consec_closure(pl2, phi_trp, (0, 1))
 
 
 def test_step_term_for_initial_state(apl2, pl2, rho_cro):
@@ -649,3 +657,37 @@ def test_step_terms_built_only_for_the_returned_family(
         outcomes.add((result.holds, bool(result.witness and result.witness.removals)))
     # holds, refuted at initialisation and refuted while pruning
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_has_submask_matches_scan():
+    rng = random.Random(12)
+    for _ in range(400):
+        width = rng.randrange(1, 11)
+        family = dict.fromkeys(
+            rng.randrange(1, 1 << width) for _ in range(rng.randrange(1 << width))
+        )
+        t = rng.randrange(1 << width)
+        assert checker._has_submask(family, t) == any(g & ~t == 0 for g in family)
+
+
+def test_graphs_freed_by_refcount(monkeypatch, apl2, apl2_bad, pl2, rho_cro):
+    graphs = []
+
+    def recording_build(*args):
+        graph = build_state_graph(*args)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(checker, "build_state_graph", recording_build)
+    gc.collect()
+    gc.disable()
+    try:
+        graph = build_state_graph(pl2, ASYNC)
+        assert graph.succ[(0, 1)] == ((0, 2),)
+        graphs.append(weakref.ref(graph))
+        del graph
+        for mv1 in (apl2, apl2_bad):
+            check_asyn_abs(mv1, pl2, rho_cro)
+        assert len(graphs) == 5 and all(ref() is None for ref in graphs)
+    finally:
+        gc.enable()

@@ -25,7 +25,7 @@ from mvnabs import (
     sync_step,
 )
 from mvnabs.abstraction import AbstractionMapping, StateMapping
-from mvnabs.checker import _Context
+from mvnabs.checker import _Context, concrete_class
 from mvnabs.model import LEVEL_CAP, Entity, Mvn, Neighbourhood, NextStateTable
 from mvnabs.oracle import random_instance
 from mvnabs.semantics import reachable_set
@@ -216,3 +216,21 @@ def test_closures_and_settleability_match_definitions():
                 any(g.out_degree(v) == 0 for v in closure)
                 or not nx.is_directed_acyclic_graph(g.subgraph(closure))
             )
+
+
+def test_integer_tables_match_definitions():
+    rng = random.Random(8)
+    for mv1, mv2, phi in checker_instances():
+        ctx = _Context(mv1, mv2, phi)
+        g1, g2 = ctx.g1, ctx.g2
+        for k, state in enumerate(g2.nodes):
+            assert g1.nodes[ctx.image_index[k]] == phi.apply(state)
+            assert ctx.members[ctx.image_index[k]][ctx.pos[k]] == k
+        for a, state in enumerate(g1.nodes):
+            klass = [g2.nodes[k] for k in ctx.members[a]]
+            assert klass == sorted(concrete_class(phi, state))
+            for mask in {0, (1 << len(klass)) - 1} | {
+                rng.getrandbits(len(klass)) for _ in range(4)
+            }:
+                selected = {u for j, u in enumerate(klass) if mask >> j & 1}
+                assert ctx._subsets[a][mask] == selected
