@@ -56,11 +56,11 @@ run on these integers too: a term is its gamma's bitmask and packed
 derived sets, and the derived set T(S_i) is one slot of the packed
 value, so the subset test is ``g & ~t == 0``; it looks the submasks of
 T(S_i) up when they are fewer than the surviving terms.  States become
-tuples only at the edge: the recorded removals, ``CheckStats`` and the
-``StepTerm`` objects of the surviving family when the abstraction
-holds, with one shared frozenset per bitmask, each built from the
-set of the mask without its lowest bit.  The 2^|class| walk itself
-remains.
+tuples only at the edge: the recorded removals, ``CheckStats`` and,
+when the abstraction holds, the ``StepTerm`` objects of the surviving
+family, which are built the first time the family's terms are read,
+with one shared frozenset per bitmask, each built from the set of the
+mask without its lowest bit.  The 2^|class| walk itself remains.
 
 Every walk over same-image steps reads one graph, the concrete
 asynchronous graph with only its same-image ("stutter") steps kept,
@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,10 +110,10 @@ from .semantics import (
 )
 
 # Step terms are enumerated over all nonempty subsets of a concrete
-# class.  Only the survivors become ``StepTerm`` objects, but every
-# valid subset is kept as a pair of ints until the sweeps end, so time
-# and memory still grow as 2^|class|; past this size a check would not
-# finish in useful time.
+# class.  Only the survivors become ``StepTerm`` objects, and only when
+# the family is first read, but every valid subset is kept as a pair of
+# ints until the sweeps end, so time and memory still grow as
+# 2^|class|; past this size a check would not finish in useful time.
 MAX_CLASS_SIZE = 20
 
 StateSet = frozenset[GlobalState]
@@ -422,18 +423,20 @@ class _Context:
         A pair is an abstract node and a bitmask over its class.  It is
         bad when no member can go on: the mask is empty (the step into
         the state had no concrete realisation), or the state has no
-        abstract successors and no member can settle.
+        abstract successors and no member can settle.  Every node is a
+        source, so the layouts of all of them are read up front.
         """
+        layouts = list(map(self._layout, range(len(self.members))))
         parents = {(a, (1 << len(k)) - 1): None for a, k in enumerate(self.members)}
 
         def successors(pair):
-            layout = self._layout(pair[0])
+            layout = layouts[pair[0]]
             packed = _derived(layout, pair[1])
             return [(s_i, packed >> offset & ones) for s_i, offset, ones in layout.slots]
 
         for a, mask in itertools.chain(list(parents), bfs(parents, successors)):
             # Only members of point states are ever unsettleable.
-            if not mask & ~self._layout(a).unsettleable:
+            if not mask & ~layouts[a].unsettleable:
                 return self.g1.nodes[a], mask
         return None
 
@@ -471,15 +474,56 @@ def all_step_terms(
     return _Context(mv1, mv2, phi).all_step_terms(state)
 
 
+class _LazyTerms(Mapping):
+    """The terms of a holding check's family, built on first read.
+
+    Until then it holds the check's context and the surviving
+    ``{gamma mask: packed derived sets}`` of every abstract node.  The
+    first read builds the whole ``{state: {gamma: StepTerm}}`` dict, in
+    abstract node order, and drops both.
+    """
+
+    def __init__(self, ctx: _Context, alive: list[dict[int, int]]):
+        self._pending: tuple[_Context, list[dict[int, int]]] | None = (ctx, alive)
+        self._terms: dict[GlobalState, dict[StateSet, StepTerm]] = {}
+
+    def _built(self) -> dict[GlobalState, dict[StateSet, StepTerm]]:
+        if self._pending is not None:
+            ctx, alive = self._pending
+            nodes = ctx.g1.nodes
+            self._terms = {
+                nodes[a]: {term.gamma: term for term in ctx.build_terms(a, survivors)}
+                for a, survivors in enumerate(alive)
+            }
+            self._pending = None
+        return self._terms
+
+    def __getitem__(self, state: GlobalState) -> dict[StateSet, StepTerm]:
+        return self._built()[state]
+
+    def __iter__(self) -> Iterator[GlobalState]:
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class StepTermFamily:
     """Surviving step terms per abstract state, plus the check inputs
-    (kept so witnesses can be reconstructed)."""
+    (kept so witnesses can be reconstructed).
+
+    The family :func:`check_asyn_abs` returns builds its ``StepTerm``
+    objects the first time ``terms`` is read.
+    """
 
     mv1: Mvn
     mv2: Mvn
     phi: AbstractionMapping
-    terms: dict[GlobalState, dict[StateSet, StepTerm]]
+    terms: Mapping[GlobalState, dict[StateSet, StepTerm]]
 
     def gammas(self, state: GlobalState) -> set[StateSet]:
         return set(self.terms[state])
@@ -563,8 +607,9 @@ def check_asyn_abs(
     removals.  The verdict and the surviving family are independent of
     sweep order; ``sweep_rng`` randomises the order and exists so tests
     can demonstrate exactly that.  The sweeps run on bitmasks (see the
-    module docstring); ``StepTerm`` objects are built only for the
-    family returned when the abstraction holds.
+    module docstring), and the check itself builds no ``StepTerm``: the
+    family returned when the abstraction holds builds its terms the
+    first time they are read.
     """
     ctx = _Context(mv1, mv2, phi)
     nodes = ctx.g1.nodes
@@ -634,11 +679,7 @@ def check_asyn_abs(
         if not removed_this_sweep:
             break
 
-    terms = {
-        nodes[a]: {term.gamma: term for term in ctx.build_terms(a, survivors)}
-        for a, survivors in enumerate(alive)
-    }
-    family = StepTermFamily(mv1=mv1, mv2=mv2, phi=phi, terms=terms)
+    family = StepTermFamily(mv1=mv1, mv2=mv2, phi=phi, terms=_LazyTerms(ctx, alive))
     return CheckResult(True, family, None, stats(iterations))
 
 

@@ -648,11 +648,14 @@ def test_step_terms_built_only_for_the_returned_family(
     for mv1, mv2, phi in triples:
         built.clear()
         result = check_asyn_abs(mv1, mv2, phi)
+        assert built == []
         if result.holds:
+            # The first read builds the whole family, the second nothing.
+            terms = [t for v in result.family.terms.values() for t in v.values()]
             assert len(built) == sum(result.stats.surviving_terms.values()) > 0
-            assert all(type(t) is CountingStepTerm for v in result.family.terms.values()
-                       for t in v.values())
-        else:
+            assert all(type(t) is CountingStepTerm for t in terms)
+            built.clear()
+            assert [t for v in result.family.terms.values() for t in v.values()] == terms
             assert built == []
         outcomes.add((result.holds, bool(result.witness and result.witness.removals)))
     # holds, refuted at initialisation and refuted while pruning
@@ -689,5 +692,33 @@ def test_graphs_freed_by_refcount(monkeypatch, apl2, apl2_bad, pl2, rho_cro):
         for mv1 in (apl2, apl2_bad):
             check_asyn_abs(mv1, pl2, rho_cro)
         assert len(graphs) == 5 and all(ref() is None for ref in graphs)
+    finally:
+        gc.enable()
+
+
+def test_holding_results_freed_by_refcount(monkeypatch, apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    graphs = []
+
+    def recording_build(*args):
+        graph = build_state_graph(*args)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(checker, "build_state_graph", recording_build)
+    gc.collect()
+    gc.disable()
+    try:
+        for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)):
+            # Family never read: it keeps the check's graphs until it goes.
+            result = check_asyn_abs(mv1, mv2, phi)
+            assert result.holds and all(ref() is not None for ref in graphs[-2:])
+            del result
+            assert all(ref() is None for ref in graphs)
+            # Family read once: the read lets go of the graphs.
+            result = check_asyn_abs(mv1, mv2, phi)
+            result.family.check_closed()
+            assert all(ref() is None for ref in graphs)
+            del result
+        assert len(graphs) == 8
     finally:
         gc.enable()
