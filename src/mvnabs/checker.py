@@ -43,33 +43,34 @@ Each check computes its tables once, on node indices, as flat arrays:
 the abstract index of every concrete node (summed column-wise from
 per-entity tables of ``phi.level_image``, with no ``phi.apply`` call),
 every class as the ascending list of its members' indices, each
-node's position in its class, the closure of every concrete node and,
-per concrete node g, the derived sets of {g} alone as bitmasks over
-the successor classes, packed into one integer.  A subset Gamma of a
-class is a bitmask too, and its derived sets are the OR of its
-members' entries.  The subsets are walked in ``itertools.combinations``
-order (by size, then lexicographically), and each one's derived sets
-are those of the subset without its top member ORed with the top
-member's own, so a class of k states costs 2^k ORs and one table of
-2^k integers.  Validity is a bit test on the packed value.  The sweeps
-run on these integers too: a term is its gamma's bitmask and packed
-derived sets, and the derived set T(S_i) is one slot of the packed
-value, so the subset test is ``g & ~t == 0``; it looks the submasks of
-T(S_i) up when they are fewer than the surviving terms.  States become
-tuples only at the edge: the recorded removals, ``CheckStats`` and,
-when the abstraction holds, the ``StepTerm`` objects of the surviving
-family, which are built the first time the family's terms are read,
-with one shared frozenset per bitmask, each built from the set of the
-mask without its lowest bit.  The 2^|class| walk itself remains.
+node's position in its class and, per concrete node g, the derived
+sets of {g} alone as bitmasks over the successor classes, packed into
+one integer.  A subset Gamma of a class is a bitmask too, and its
+derived sets are the OR of its members' entries.  The subsets are
+walked in ``itertools.combinations`` order (by size, then
+lexicographically), and each one's derived sets are those of the
+subset without its top member ORed with the top member's own, so a
+class of k states costs 2^k ORs and one table of 2^k integers.
+Validity is a bit test on the packed value.  The sweeps run on these
+integers too: a term is its gamma's bitmask and packed derived sets,
+and the derived set T(S_i) is one slot of the packed value, so the
+subset test is ``g & ~t == 0``; it looks the submasks of T(S_i) up
+when they are fewer than the surviving terms.  States become tuples
+only at the edge: the recorded removals, ``CheckStats`` and, when the
+abstraction holds, the ``StepTerm`` objects of the surviving family,
+which are built the first time the family's terms are read, with one
+shared frozenset per bitmask, each built from the set of the mask
+without its lowest bit.  The 2^|class| walk itself remains.
 
-Every walk over same-image steps reads one graph, the concrete
-asynchronous graph with only its same-image ("stutter") steps kept,
-built once per check.  A closure is a breadth-first search on it.  The
-nodes where a run can settle are the concrete dead ends plus the
-members of its SCCs of two or more nodes, read from its Tarjan pass
-when the first abstract point attractor needs them; a member can
-settle when its closure meets them.  The same-image bridges that
-:func:`witness_path` inserts are breadth-first paths on it too.
+Same-image ("stutter") steps are read from one graph, the concrete
+asynchronous graph with only those steps kept, built once per check.
+Same-image steps stay inside a class, so a node's packed derived sets
+are its own visible steps ORed with those of its stutter successors,
+and it can settle when it is a dead end, lies on a same-image cycle or
+has a stutter successor that can settle.  One pass over the stutter
+SCCs in Tarjan's order (sinks first) computes both for every node,
+with no closure built.  The same-image bridges that
+:func:`witness_path` inserts are breadth-first paths on the graph.
 
 :func:`forward_holds` reaches the same verdict by forward subset
 construction on the same tables, as antichain-style inclusion checks do
@@ -245,11 +246,11 @@ class _Context:
     ``members[a]`` the concrete nodes of abstract node a's class in
     ascending order, ``pos[k]`` node k's position in its class and
     ``stutter`` the concrete graph with only its same-image steps.
-    Three things are memoised on first use: the nodes where a run can
-    settle (from the stutter graph's Tarjan pass), the packed derived
-    sets of each abstract node (:class:`_Layout`) and the state set of
-    each bitmask (``_subsets``).  ``image``, :meth:`closure` and
-    :meth:`settleable` are views on states, for callers outside.
+    :meth:`_sweep` sets ``layouts[a]``, the packed derived sets of
+    abstract node a (:class:`_Layout`), and ``settles[k]``, whether a
+    run from node k can settle.  The state set of each bitmask
+    (``_subsets``) is built on first use.  ``image``, :meth:`closure`
+    and :meth:`settleable` are views on states, for callers outside.
     """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
@@ -268,42 +269,22 @@ class _Context:
             klass = self.members[a]
             self.pos.append(len(klass))
             klass.append(k)
-        self._layouts: dict[int, _Layout] = {}
         self._subsets = [_Subsets(klass, self.g2.nodes) for klass in self.members]
+        self._sweep()
 
     @cached_property
     def image(self) -> dict[GlobalState, GlobalState]:
         """The image under ``phi`` of every concrete state."""
         return dict(zip(self.g2.nodes, map(self.g1.nodes.__getitem__, self.image_index)))
 
-    @cached_property
-    def _settling(self) -> set[int]:
-        """The dead ends of the concrete graph and the nodes on a
-        same-image cycle.
-
-        Asynchronous graphs have no self-loops, so a same-image cycle is
-        a stutter SCC of two or more nodes.  A closure is closed under
-        same-image steps, so every such SCC that meets it lies inside.
-        """
-        settling = {k for k, vs in enumerate(self.g2.out) if not vs}
-        for comp in self.stutter.components:
-            if len(comp) > 1:
-                settling.update(comp)
-        return settling
-
-    def _closure(self, k: int) -> dict[int, int | None]:
-        """The nodes of node k's closure, as the keys of a BFS tree."""
-        parents: dict[int, int | None] = {k: None}
-        for _ in bfs(parents, self.stutter.out.__getitem__):
-            pass
-        return parents
-
     def closure(self, state: GlobalState) -> StateSet:
-        return frozenset(map(self.g2.nodes.__getitem__, self._closure(self.g2.index(state))))
+        k = self.g2.index(state)
+        reached = bfs({k: None}, self.stutter.out.__getitem__)
+        return frozenset(map(self.g2.nodes.__getitem__, itertools.chain((k,), reached)))
 
     def settleable(self, state: GlobalState) -> bool:
         """Can a maximal run from ``state`` stay inside its image class?"""
-        return not self._settling.isdisjoint(self._closure(self.g2.index(state)))
+        return self.settles[self.g2.index(state)]
 
     def _node(self, state: GlobalState) -> int:
         """The abstract node index of ``state``."""
@@ -312,34 +293,52 @@ class _Context:
         except (TypeError, ValueError):
             raise ValueError(f"state {state} is outside the abstract state space") from None
 
-    def _layout(self, a: int) -> _Layout:
-        if a not in self._layouts:
-            succs = self.g1.out[a]
-            slots, offset, fill, guards = [], 0, 0, 0
-            offset_of = {}
+    def _sweep(self) -> None:
+        """Set ``layouts`` and ``settles`` in one pass over the stutter
+        SCCs, sinks first (see the module docstring).
+
+        Every node of an SCC shares both.  Asynchronous graphs have no
+        self-loops, so a same-image cycle is an SCC of two or more nodes.
+        """
+        offset_of: list[dict[int, int]] = []
+        shapes = []
+        for succs in self.g1.out:
+            slots, offsets, offset, fill, guards = [], {}, 0, 0, 0
             for s_i in succs:
                 width = len(self.members[s_i])
                 ones = (1 << width) - 1
                 slots.append((s_i, offset, ones))
-                offset_of[s_i] = offset
+                offsets[s_i] = offset
                 fill |= ones << offset
                 guards |= 1 << (offset + width)
                 offset += width + 1
-            out, images, pos = self.g2.out, self.image_index, self.pos
-            post, unsettleable = [], 0
-            for j, g in enumerate(self.members[a]):
-                closure = self._closure(g)
-                packed = 0
-                for u in closure:
-                    for v in out[u]:
-                        off = offset_of.get(images[v])
-                        if off is not None:
-                            packed |= 1 << (off + pos[v])
-                post.append(packed)
-                if not succs and self._settling.isdisjoint(closure):
-                    unsettleable |= 1 << j
-            self._layouts[a] = _Layout(tuple(slots), tuple(post), fill, guards, unsettleable)
-        return self._layouts[a]
+            offset_of.append(offsets)
+            shapes.append((tuple(slots), fill, guards))
+        out, images, pos = self.g2.out, self.image_index, self.pos
+        post = [0] * len(out)
+        settles = [False] * len(out)
+        for comp in self.stutter.components:
+            packed, settle = 0, len(comp) > 1
+            for u in comp:
+                a = images[u]
+                offsets = offset_of[a]
+                settle = settle or not out[u]
+                for v in out[u]:
+                    b = images[v]
+                    if b == a:  # a stutter step; inside comp both are still unset
+                        packed |= post[v]
+                        settle = settle or settles[v]
+                    elif b in offsets:
+                        packed |= 1 << (offsets[b] + pos[v])
+            for u in comp:
+                post[u], settles[u] = packed, settle
+        self.settles = settles
+        self.layouts: list[_Layout] = []
+        for (slots, fill, guards), klass in zip(shapes, self.members):
+            stuck = 0 if slots else sum(1 << j for j, g in enumerate(klass) if not settles[g])
+            self.layouts.append(
+                _Layout(slots, tuple(map(post.__getitem__, klass)), fill, guards, stuck)
+            )
 
     def _term(self, a: int, layout: _Layout, mask: int, packed: int) -> StepTerm:
         nodes = self.g1.nodes
@@ -375,7 +374,7 @@ class _Context:
                 f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
             )
         mask = sum(1 << klass[g] for g in gamma)
-        layout = self._layout(a)
+        layout = self.layouts[a]
         return self._term(a, layout, mask, _derived(layout, mask))
 
     def valid_subsets(self, a: int) -> dict[int, int]:
@@ -392,7 +391,7 @@ class _Context:
                 f"abstract state {self.g1.nodes[a]} has {size} concrete states; "
                 f"subset enumeration is capped at {MAX_CLASS_SIZE}"
             )
-        layout = self._layout(a)
+        layout = self.layouts[a]
         fill, guards, unsettleable = layout.fill, layout.guards, layout.unsettleable
         bits = [1 << j for j in range(size)]
         post = dict(zip(bits, layout.post))
@@ -414,7 +413,7 @@ class _Context:
 
     def build_terms(self, a: int, terms: dict[int, int]) -> list[StepTerm]:
         """``StepTerm`` objects for ``{gamma mask: packed derived sets}``."""
-        layout = self._layout(a)
+        layout = self.layouts[a]
         return [self._term(a, layout, mask, packed) for mask, packed in terms.items()]
 
     def refuting_pair(self) -> tuple[GlobalState, int] | None:
@@ -424,19 +423,18 @@ class _Context:
         bad when no member can go on: the mask is empty (the step into
         the state had no concrete realisation), or the state has no
         abstract successors and no member can settle.  Every node is a
-        source, so the layouts of all of them are read up front.
+        source.
         """
-        layouts = list(map(self._layout, range(len(self.members))))
         parents = {(a, (1 << len(k)) - 1): None for a, k in enumerate(self.members)}
 
         def successors(pair):
-            layout = layouts[pair[0]]
+            layout = self.layouts[pair[0]]
             packed = _derived(layout, pair[1])
             return [(s_i, packed >> offset & ones) for s_i, offset, ones in layout.slots]
 
         for a, mask in itertools.chain(list(parents), bfs(parents, successors)):
             # Only members of point states are ever unsettleable.
-            if not mask & ~layouts[a].unsettleable:
+            if not mask & ~self.layouts[a].unsettleable:
                 return self.g1.nodes[a], mask
         return None
 
@@ -639,14 +637,8 @@ def check_asyn_abs(
             return failure(a, "no valid step term realises this state", 0)
 
     # Each sweep visits a state's gammas in the order of their sorted
-    # member lists, filtered to the survivors.  Masks are sorted once
-    # per class size.
-    by_size: dict[int, list[int]] = {}
-    order = []
-    for klass, survivors in zip(ctx.members, alive):
-        if len(klass) not in by_size:
-            by_size[len(klass)] = sorted(range(1, 1 << len(klass)), key=_lex_key)
-        order.append([mask for mask in by_size[len(klass)] if mask in survivors])
+    # member lists, filtered to the survivors.
+    order = [sorted(survivors, key=_lex_key) for survivors in alive]
 
     iterations = 0
     while True:
@@ -660,7 +652,7 @@ def check_asyn_abs(
             masks = [mask for mask in order[a] if mask in survivors]
             if sweep_rng is not None:
                 sweep_rng.shuffle(masks)
-            slots = ctx._layout(a).slots
+            slots = ctx.layouts[a].slots
             for mask in masks:
                 packed = survivors[mask]
                 for s_i, offset, ones in slots:

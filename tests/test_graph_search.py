@@ -208,14 +208,32 @@ def test_closures_and_settleability_match_definitions():
         same_image = g.edge_subgraph(
             (u, v) for u, v in g.edges if ctx.image[u] == ctx.image[v]
         )
-        for u in ctx.g2.nodes:
-            closure = ctx.closure(u)
-            expected = {u} | (nx.descendants(same_image, u) if u in same_image else set())
-            assert closure == expected
-            assert ctx.settleable(u) == (
-                any(g.out_degree(v) == 0 for v in closure)
-                or not nx.is_directed_acyclic_graph(g.subgraph(closure))
-            )
+        klass = {s: sorted(concrete_class(phi, s)) for s in ctx.g1.nodes}
+        position = {u: j for members in klass.values() for j, u in enumerate(members)}
+        for a, state in enumerate(ctx.g1.nodes):
+            # one slot per abstract successor, each a class wide plus a guard bit
+            offsets, offset = {}, 0
+            for s_i in ctx.g1.succ[state]:
+                offsets[s_i] = offset
+                offset += len(klass[s_i]) + 1
+            layout = ctx.layouts[a]
+            unsettleable = 0
+            for j, u in enumerate(klass[state]):
+                closure = ctx.closure(u)
+                expected = {u} | (nx.descendants(same_image, u) if u in same_image else set())
+                assert closure == expected
+                settles = (
+                    any(g.out_degree(v) == 0 for v in closure)
+                    or not nx.is_directed_acyclic_graph(g.subgraph(closure))
+                )
+                assert ctx.settleable(u) == settles
+                visible = {
+                    1 << (offsets[ctx.image[w]] + position[w])
+                    for v in expected for w in g.successors(v) if ctx.image[w] in offsets
+                }
+                assert layout.post[j] == sum(visible)
+                unsettleable |= (not settles) << j
+            assert layout.unsettleable == (0 if offsets else unsettleable)
 
 
 def test_integer_tables_match_definitions():
