@@ -69,8 +69,8 @@ are its own visible steps ORed with those of its stutter successors,
 and it can settle when it is a dead end, lies on a same-image cycle or
 has a stutter successor that can settle.  One pass over the stutter
 SCCs in Tarjan's order (sinks first) computes both for every node,
-with no closure built.  The same-image bridges that
-:func:`witness_path` inserts are breadth-first paths on the graph.
+with no closure built.  :func:`witness_path` reads none of these
+tables; it lifts a path by one breadth-first search on the graph.
 
 :func:`forward_holds` reaches the same verdict by forward subset
 construction on the same tables, as antichain-style inclusion checks do
@@ -91,7 +91,6 @@ import itertools
 import random
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .abstraction import (
     AbstractionMapping,
@@ -107,6 +106,7 @@ from .semantics import (
     bfs,
     build_state_graph,
     path_to,
+    place_values,
     reachable_set,
 )
 
@@ -144,14 +144,20 @@ def _image_index(phi: AbstractionMapping) -> list[int]:
     extending every index so far by each level of the next entity lists
     the concrete nodes in index order.
     """
-    places = [1] * len(phi.slots)
-    for i in range(len(places) - 1, 0, -1):
-        places[i - 1] = places[i] * (phi.target_max_levels[i] + 1)
+    places = place_values(phi.target_max_levels)
     images = [0]
     for i, (top, place) in enumerate(zip(phi.source_max_levels, places)):
         column = [phi.level_image(i, level) * place for level in range(top + 1)]
         images = [a + b for a in images for b in column]
     return images
+
+
+def _node(g1: StateGraph, state: GlobalState) -> int:
+    """The abstract node index of ``state``."""
+    try:
+        return g1.index(state)
+    except (TypeError, ValueError):
+        raise ValueError(f"state {state} is outside the abstract state space") from None
 
 
 def _stutter_graph(graph: StateGraph, images: list[int]) -> StateGraph:
@@ -183,12 +189,6 @@ class StepTerm:
     successors: tuple[tuple[GlobalState, StateSet], ...]
     valid: bool
     invalid_reason: str | None = None
-
-    def successor(self, abstract_succ: GlobalState) -> StateSet:
-        for s, t in self.successors:
-            if s == abstract_succ:
-                return t
-        raise KeyError(abstract_succ)
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,7 @@ class _Context:
     :meth:`_sweep` sets ``layouts[a]``, the packed derived sets of
     abstract node a (:class:`_Layout`), and ``settles[k]``, whether a
     run from node k can settle.  The state set of each bitmask
-    (``_subsets``) is built on first use.  ``image``, :meth:`closure`
-    and :meth:`settleable` are views on states, for callers outside.
+    (``_subsets``) is built on first use.
     """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
@@ -271,27 +270,6 @@ class _Context:
             klass.append(k)
         self._subsets = [_Subsets(klass, self.g2.nodes) for klass in self.members]
         self._sweep()
-
-    @cached_property
-    def image(self) -> dict[GlobalState, GlobalState]:
-        """The image under ``phi`` of every concrete state."""
-        return dict(zip(self.g2.nodes, map(self.g1.nodes.__getitem__, self.image_index)))
-
-    def closure(self, state: GlobalState) -> StateSet:
-        k = self.g2.index(state)
-        reached = bfs({k: None}, self.stutter.out.__getitem__)
-        return frozenset(map(self.g2.nodes.__getitem__, itertools.chain((k,), reached)))
-
-    def settleable(self, state: GlobalState) -> bool:
-        """Can a maximal run from ``state`` stay inside its image class?"""
-        return self.settles[self.g2.index(state)]
-
-    def _node(self, state: GlobalState) -> int:
-        """The abstract node index of ``state``."""
-        try:
-            return self.g1.index(state)
-        except (TypeError, ValueError):
-            raise ValueError(f"state {state} is outside the abstract state space") from None
 
     def _sweep(self) -> None:
         """Set ``layouts`` and ``settles`` in one pass over the stutter
@@ -367,7 +345,7 @@ class _Context:
         )
 
     def step_term(self, state: GlobalState, gamma: StateSet) -> StepTerm:
-        a = self._node(state)
+        a = _node(self.g1, state)
         klass = {self.g2.nodes[k]: self.pos[k] for k in self.members[a]}
         if not gamma or not klass.keys() >= gamma:
             raise GammaOutOfClassError(
@@ -408,7 +386,7 @@ class _Context:
 
     def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
         """Valid terms in the order of :meth:`valid_subsets`."""
-        a = self._node(state)
+        a = _node(self.g1, state)
         return self.build_terms(a, self.valid_subsets(a))
 
     def build_terms(self, a: int, terms: dict[int, int]) -> list[StepTerm]:
@@ -522,12 +500,6 @@ class StepTermFamily:
     mv2: Mvn
     phi: AbstractionMapping
     terms: Mapping[GlobalState, dict[StateSet, StepTerm]]
-
-    def gammas(self, state: GlobalState) -> set[StateSet]:
-        return set(self.terms[state])
-
-    def term(self, state: GlobalState, gamma: StateSet) -> StepTerm:
-        return self.terms[state][gamma]
 
     def check_closed(self) -> None:
         """Raise unless every set is nonempty and closed under step terms."""
@@ -713,54 +685,39 @@ def witness_path(
     """Lift an abstract path to a concrete one through a closed family.
 
     ``gamma_path`` must be a path of the abstract model's asynchronous
-    state graph.  The result is a concrete path whose abstracted,
-    duplicate-merged image is exactly ``gamma_path``.  Works by chaining
-    step terms forward (each step's derived successor set is the next
-    state's realisation) and then pulling one concrete state back
-    through each link, inserting the same-image bridge states that the
-    closures absorbed.
+    state graph.  The result is a shortest concrete path from a member
+    of a gamma of the first state whose abstracted, duplicate-merged
+    image is exactly ``gamma_path``: one breadth-first search over
+    pairs (concrete node, position on ``gamma_path``), where a step onto
+    the current state's class keeps the position and a step onto the
+    next state's class advances it.
     """
     if not gamma_path:
         raise ValueError("the abstract path must contain at least one state")
     family.check_closed()
-    ctx = _Context(family.mv1, family.mv2, family.phi)
-    steps = list(map(ctx._node, gamma_path))  # ValueError outside the abstract space
-    for i, (a, b) in enumerate(zip(steps, steps[1:])):
-        if b not in ctx.g1.out[a]:
-            raise ValueError(
-                f"{gamma_path[i]} -> {gamma_path[i + 1]} is not an abstract asynchronous step"
-            )
+    require_same_structure(family.mv1, family.mv2)
+    require_mapping_fits(family.phi, family.mv1, family.mv2)
+    g1 = build_state_graph(family.mv1, ASYNC)
+    g2 = build_state_graph(family.mv2, ASYNC)
+    images = _image_index(family.phi)
+    steps = [_node(g1, state) for state in gamma_path]
+    for u, v, a, b in zip(gamma_path, gamma_path[1:], steps, steps[1:]):
+        if b not in g1.out[a]:
+            raise ValueError(f"{u} -> {v} is not an abstract asynchronous step")
+    last = len(steps) - 1
+    starts = sorted(map(g2.index, set().union(*family.terms[gamma_path[0]])))
+    parents: dict[tuple[int, int], tuple[int, int] | None] = {(k, 0): None for k in starts}
 
-    first = gamma_path[0]
-    gammas: list[StateSet] = [min(family.gammas(first), key=sorted)]
-    for i, nxt in enumerate(gamma_path[1:]):
-        term = family.term(gamma_path[i], gammas[i])
-        derived = term.successor(nxt)
-        # Any surviving realisation drawn from the derived set will do;
-        # closure guarantees one exists.
-        gammas.append(
-            min((g for g in family.gammas(nxt) if g <= derived), key=sorted)
-        )
+    def successors(pair):
+        k, i = pair
+        for v in g2.out[k]:
+            if images[v] == steps[i]:
+                yield v, i
+            elif i < last and images[v] == steps[i + 1]:
+                yield v, i + 1
 
-    # Backward concrete chaining on node indices, smallest first for
-    # determinism.
-    g2 = ctx.g2
-    path: list[int] = [g2.index(min(gammas[-1]))]
-    for i in range(len(gamma_path) - 2, -1, -1):
-        target = path[0]
-        bridge = None
-        for a in sorted(map(g2.index, gammas[i])):
-            parents: dict[int, int | None] = {a: None}
-            reached = bfs(parents, ctx.stutter.out.__getitem__)
-            for u in itertools.chain((a,), reached):
-                if target in g2.out[u]:
-                    bridge = list(path_to(parents, u))
-                    break
-            if bridge is not None:
-                break
-        if bridge is None:  # impossible for a closed family, by construction
-            raise NotClosedError(
-                f"no member of {sorted(gammas[i])} reaches {g2.nodes[target]}"
-            )
-        path = bridge + path
-    return tuple(map(g2.nodes.__getitem__, path))
+    for pair in itertools.chain(list(parents), bfs(parents, successors)):
+        if pair[1] == last:
+            return tuple(g2.nodes[k] for k, _ in path_to(parents, pair))
+    # Unreachable for a closed family: its terms realise every step.
+    raise NotClosedError(f"no concrete path from the family's gammas lifts {gamma_path}")

@@ -54,6 +54,17 @@ def _labeler(model, named: bool = False):
     return state_labeler(model.max_levels)
 
 
+def _count(text: str) -> int:
+    """``--count``: a whole number, 0 or more."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {count}")
+    return count
+
+
 def _print_lassos(traces, label) -> None:
     """One line per lasso, ``<prefix (loop)*>``, in a fixed order."""
     for t in ordered_lassos(traces):
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="differential suite: checker vs oracle")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument(
         "--json", action="store_true",
         help="emit {seed, count, supported, both_finite, divergences}",

@@ -156,6 +156,8 @@ def differential_suite(seed: int, count: int) -> dict:
     instance records the forward decider's verdict too, and one that
     differs from the checker's is a divergence of kind ``"forward"``.
     """
+    if count < 0:
+        raise ValueError(f"count must be 0 or more, not {count}")
     rng = random.Random(seed)
     instances = []
     divergences = []

@@ -35,7 +35,7 @@ State graphs are materialised explicitly, which keeps every downstream
 analysis auditable.  Time and memory grow with the number of states,
 which is exponential in the number of entities, so a build refuses a
 state space above :data:`MAX_STATES`.  Every search over a graph
-(reachability here, and the closures and witness bridges of the
+(reachability here, and the witness lifts and forward search of the
 checker) is one breadth-first search, :func:`bfs`, with
 :func:`path_to` reading paths back from it.
 """
@@ -190,6 +190,14 @@ class _Successors(Mapping):
         return iter(self._graph.nodes)
 
 
+def place_values(max_levels: Sequence[int]) -> list[int]:
+    """How far a node index moves when each entity goes up one level."""
+    places = [1] * len(max_levels)
+    for i in range(len(places) - 1, 0, -1):
+        places[i - 1] = places[i] * (max_levels[i] + 1)
+    return places
+
+
 def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
     """Materialise the full state graph under the given discipline.
 
@@ -207,10 +215,7 @@ def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
     nodes = tuple(iter_states(model))
     current = list(zip(*nodes))
     columns = _next_levels(model, current)
-    # place[i]: how far node k moves when entity i goes up one level.
-    places = [1] * len(nodes[0])
-    for i in range(len(places) - 1, 0, -1):
-        places[i - 1] = places[i] * (nodes[-1][i] + 1)
+    places = place_values(model.max_levels)
     if semantics == SYNC:
         row = [0] * size
         for column, place in zip(columns, places):

@@ -422,3 +422,11 @@ def test_fuzz_json(files, capsys):
     assert main(["fuzz", "--seed", "3", "--count", "10", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["count"] == 10 and report["divergences"] == []
+
+
+def test_fuzz_negative_count_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--count: must be 0 or more" in captured.err

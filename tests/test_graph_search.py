@@ -1,7 +1,7 @@
 """Graph searches checked against networkx as an independent reference.
 
-Covers the breadth-first search behind reachability and closures, and
-the Tarjan pass behind both kinds of attractor, on seeded random
+Covers the breadth-first search behind reachability, closures and
+witness lifts, and the Tarjan pass behind both kinds of attractor, on seeded random
 networks large enough that a depth-first witness is usually not a
 shortest one.  Wide networks, with ranges up to LEVEL_CAP and an input
 entity, also exercise the mixed-radix state indices.
@@ -25,10 +25,11 @@ from mvnabs import (
     sync_step,
 )
 from mvnabs.abstraction import AbstractionMapping, StateMapping
-from mvnabs.checker import _Context, concrete_class
+from mvnabs.checker import _Context, check_asyn_abs, concrete_class, witness_path
 from mvnabs.model import LEVEL_CAP, Entity, Mvn, Neighbourhood, NextStateTable
 from mvnabs.oracle import random_instance
 from mvnabs.semantics import reachable_set
+from tests.test_checker import _merged_image
 
 
 def random_network(seed: int) -> Mvn:
@@ -204,9 +205,10 @@ def checker_instances():
 def test_closures_and_settleability_match_definitions():
     for mv1, mv2, phi in checker_instances():
         ctx = _Context(mv1, mv2, phi)
+        image = dict(zip(ctx.g2.nodes, map(ctx.g1.nodes.__getitem__, ctx.image_index)))
         g = nx_graph(ctx.g2)
         same_image = g.edge_subgraph(
-            (u, v) for u, v in g.edges if ctx.image[u] == ctx.image[v]
+            (u, v) for u, v in g.edges if image[u] == image[v]
         )
         klass = {s: sorted(concrete_class(phi, s)) for s in ctx.g1.nodes}
         position = {u: j for members in klass.values() for j, u in enumerate(members)}
@@ -219,21 +221,66 @@ def test_closures_and_settleability_match_definitions():
             layout = ctx.layouts[a]
             unsettleable = 0
             for j, u in enumerate(klass[state]):
-                closure = ctx.closure(u)
+                closure = reachable_set(ctx.stutter, u)
                 expected = {u} | (nx.descendants(same_image, u) if u in same_image else set())
                 assert closure == expected
                 settles = (
                     any(g.out_degree(v) == 0 for v in closure)
                     or not nx.is_directed_acyclic_graph(g.subgraph(closure))
                 )
-                assert ctx.settleable(u) == settles
+                assert ctx.settles[ctx.g2.index(u)] == settles
                 visible = {
-                    1 << (offsets[ctx.image[w]] + position[w])
-                    for v in expected for w in g.successors(v) if ctx.image[w] in offsets
+                    1 << (offsets[image[w]] + position[w])
+                    for v in expected for w in g.successors(v) if image[w] in offsets
                 }
                 assert layout.post[j] == sum(visible)
                 unsettleable |= (not settles) << j
             assert layout.unsettleable == (0 if offsets else unsettleable)
+
+
+def pair_graph(g: nx.DiGraph, image: dict, path: tuple) -> nx.DiGraph:
+    """Concrete steps as (node, position on ``path``) pairs: a step onto
+    the class of ``path[i]`` stays at i, one onto ``path[i + 1]`` moves
+    to i + 1."""
+    pairs = nx.DiGraph()
+    for u, v in g.edges:
+        for i, state in enumerate(path):
+            if image[u] == state == image[v]:
+                pairs.add_edge((u, i), (v, i))
+            elif image[u] == state and i + 1 < len(path) and image[v] == path[i + 1]:
+                pairs.add_edge((u, i), (v, i + 1))
+    return pairs
+
+
+def test_witness_lifts_are_shortest():
+    rng = random.Random(21)
+    lifted = 0
+    for mv1, mv2, phi in checker_instances():
+        result = check_asyn_abs(mv1, mv2, phi)
+        if not result.holds:
+            continue
+        g1 = build_state_graph(mv1, ASYNC)
+        g = nx_graph(build_state_graph(mv2, ASYNC))
+        image = {u: phi.apply(u) for u in g.nodes}
+        for _ in range(10):
+            path = [rng.choice(g1.nodes)]
+            for _ in range(rng.randint(1, 3)):
+                if g1.succ[path[-1]]:
+                    path.append(rng.choice(g1.succ[path[-1]]))
+            if len(path) < 2:
+                continue
+            path = tuple(path)
+            lift = witness_path(result.family, path)
+            assert all(v in async_next(mv2, u) for u, v in zip(lift, lift[1:]))
+            assert _merged_image(phi, lift) == path
+            pairs = pair_graph(g, image, path)
+            starts = {u for gamma in result.family.terms[path[0]] for u in gamma}
+            pairs.add_edges_from(("start", (u, 0)) for u in starts)
+            ends = [(u, len(path) - 1) for u in g.nodes if image[u] == path[-1]]
+            pairs.add_edges_from((end, "end") for end in ends)
+            assert len(lift) + 1 == nx.shortest_path_length(pairs, "start", "end")
+            lifted += 1
+    assert lifted > 100
 
 
 def test_integer_tables_match_definitions():

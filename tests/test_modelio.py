@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvnabs import (
     ASYNC,
     SYNC,
     LassoTrace,
     MappingError,
+    ModelValidationError,
     NonMonotoneMappingWarning,
     ParseError,
     attractors,
@@ -23,8 +26,11 @@ from mvnabs import (
 )
 from mvnabs.fixtures import (
     APL2_SOURCE,
+    ATRP_SOURCE,
     MTRP_SOURCE,
+    PHI_TRP_SOURCE,
     PL2_SOURCE,
+    RHO_CRO_SOURCE,
     apl2,
     atrp,
     mtrp,
@@ -264,3 +270,49 @@ def test_report_stable_across_runs(mtrp, atrp, phi_trp):
     a = export_report(check_asyn_abs(atrp, mtrp, phi_trp), *levels)
     b = export_report(check_asyn_abs(atrp, mtrp, phi_trp), *levels)
     assert a == b
+
+
+# The only errors a document may raise, whatever its text.
+DOCUMENT_ERRORS = (ParseError, ModelValidationError, MappingError)
+TOKENS = st.sampled_from([
+    "", " ", "\n", "#", ":", ",", "..", "->", "[", "]", "=", "-1", "0", "2", "9",
+    "99999", "entity", "neighbourhood", "table", "mvn", "identity", "\ufeff",
+])
+
+
+@st.composite
+def mutated(draw, sources):
+    """A fixture document with a few spans replaced by random text, a
+    token of the formats or a slice of the document itself."""
+    text = draw(st.sampled_from(sources))
+    original = text
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        k = draw(st.integers(0, len(original)))
+        piece = draw(st.one_of(
+            TOKENS, st.text(max_size=6), st.just(original[k:k + draw(st.integers(1, 40))])
+        ))
+        text = text[:i] + piece + text[j:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), mutated([PL2_SOURCE, APL2_SOURCE, MTRP_SOURCE, ATRP_SOURCE])))
+def test_parse_model_raises_only_document_errors(text):
+    try:
+        parse_model(text)
+    except DOCUMENT_ERRORS:
+        pass
+
+
+@pytest.mark.filterwarnings("ignore::mvnabs.NonMonotoneMappingWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_mapping_raises_only_document_errors(data):
+    source, model = data.draw(st.sampled_from([(RHO_CRO_SOURCE, pl2()), (PHI_TRP_SOURCE, mtrp())]))
+    text = data.draw(st.one_of(st.text(), mutated([source])))
+    try:
+        parse_mapping(text, model)
+    except DOCUMENT_ERRORS:
+        pass

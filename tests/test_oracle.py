@@ -107,6 +107,11 @@ def test_differential_suite_empty():
     assert report["instances"] == [] and report["divergences"] == []
 
 
+def test_differential_suite_rejects_negative_count():
+    with pytest.raises(ValueError):
+        differential_suite(seed=1, count=-3)
+
+
 def test_differential_suite_deterministic():
     a = differential_suite(seed=42, count=40)
     b = differential_suite(seed=42, count=40)
