@@ -47,10 +47,12 @@ node's position in its class and, per concrete node g, the derived
 sets of {g} alone as bitmasks over the successor classes, packed into
 one integer.  A subset Gamma of a class is a bitmask too, and its
 derived sets are the OR of its members' entries.  The subsets are
-walked in ``itertools.combinations`` order (by size, then
-lexicographically), and each one's derived sets are those of the
-subset without its top member ORed with the top member's own, so a
-class of k states costs 2^k ORs and one table of 2^k integers.
+listed in the order of their ascending member lists, the preorder of
+the subset tree, by doubling from the top member down: the subsets
+whose least member is j are {j}, then {j} joined to each subset above
+j, then the subsets above j.  The derived sets double alongside, so a
+class of k states costs 2^k ORs and two lists of 2^k integers, and
+the sweeps visit each state's terms in that order with no sort.
 Validity is a bit test on the packed value.  The sweeps run on these
 integers too: a term is its gamma's bitmask and packed derived sets,
 and the derived set T(S_i) is one slot of the packed value, so the
@@ -111,7 +113,8 @@ from .semantics import (
 )
 
 # Step terms are enumerated over all nonempty subsets of a concrete
-# class.  Only the survivors become ``StepTerm`` objects, and only when
+# class, as two lists of 2^|class| ints (gamma masks and packed derived
+# sets).  Only the survivors become ``StepTerm`` objects, and only when
 # the family is first read, but every valid subset is kept as a pair of
 # ints until the sweeps end, so time and memory still grow as
 # 2^|class|; past this size a check would not finish in useful time.
@@ -357,11 +360,8 @@ class _Context:
 
     def valid_subsets(self, a: int) -> dict[int, int]:
         """``{gamma mask: packed derived sets}`` of the valid terms of
-        abstract node ``a``, in the order: subsets by size, then
-        lexicographic.
-
-        The derived sets of each subset are those of the subset without
-        its top member, ORed with the top member's own.
+        abstract node ``a``, in the order of the gammas' ascending
+        member lists, built by doubling (see the module docstring).
         """
         size = len(self.members[a])
         if size > MAX_CLASS_SIZE:
@@ -371,28 +371,33 @@ class _Context:
             )
         layout = self.layouts[a]
         fill, guards, unsettleable = layout.fill, layout.guards, layout.unsettleable
-        bits = [1 << j for j in range(size)]
-        post = dict(zip(bits, layout.post))
-        derived = [0] * (1 << size)
-        valid = {}
-        for r in range(1, size + 1):
-            for combo in itertools.combinations(bits, r):
-                top = combo[-1]
-                mask = sum(combo)
-                packed = derived[mask] = derived[mask - top] | post[top]
-                if (packed + fill) & guards == guards and not mask & unsettleable:
-                    valid[mask] = packed
-        return valid
+        masks: list[int] = []
+        packs: list[int] = []
+        for j in reversed(range(size)):
+            bit, post = 1 << j, layout.post[j]
+            masks = [bit, *map(bit.__or__, masks), *masks]
+            packs = [post, *map(post.__or__, packs), *packs]
+        return {
+            mask: packed
+            for mask, packed in zip(masks, packs)
+            if (packed + fill) & guards == guards and not mask & unsettleable
+        }
 
     def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
-        """Valid terms in the order of :meth:`valid_subsets`."""
+        """Valid terms in the order of :meth:`build_terms`."""
         a = _node(self.g1, state)
         return self.build_terms(a, self.valid_subsets(a))
 
     def build_terms(self, a: int, terms: dict[int, int]) -> list[StepTerm]:
-        """``StepTerm`` objects for ``{gamma mask: packed derived sets}``."""
+        """``StepTerm`` objects for ``{gamma mask: packed derived sets}``
+        in sweep order, listed by size and then lexicographically (a
+        stable sort by size, as each size is already lexicographic).
+        """
         layout = self.layouts[a]
-        return [self._term(a, layout, mask, packed) for mask, packed in terms.items()]
+        return [
+            self._term(a, layout, mask, packed)
+            for mask, packed in sorted(terms.items(), key=lambda item: item[0].bit_count())
+        ]
 
     def refuting_pair(self) -> tuple[GlobalState, int] | None:
         """The first bad pair of the forward search, or ``None``.
@@ -503,13 +508,14 @@ class StepTermFamily:
 
     def check_closed(self) -> None:
         """Raise unless every set is nonempty and closed under step terms."""
-        for state, by_gamma in self.terms.items():
+        terms = dict(self.terms)  # one read of a lazily built family
+        for state, by_gamma in terms.items():
             if not by_gamma:
                 raise NotClosedError(f"no step terms left for abstract state {state}")
             for term in by_gamma.values():
                 for s_i, t in term.successors:
                     # realisable: some gamma of S_i lies inside t
-                    family = self.terms.get(s_i, {})
+                    family = terms.get(s_i, {})
                     if t not in family and not any(gamma <= t for gamma in family):
                         raise NotClosedError(
                             f"term for {state} needs a realisation of {s_i} "
@@ -608,10 +614,6 @@ def check_asyn_abs(
         if not survivors:
             return failure(a, "no valid step term realises this state", 0)
 
-    # Each sweep visits a state's gammas in the order of their sorted
-    # member lists, filtered to the survivors.
-    order = [sorted(survivors, key=_lex_key) for survivors in alive]
-
     iterations = 0
     while True:
         iterations += 1
@@ -621,7 +623,9 @@ def check_asyn_abs(
             sweep_rng.shuffle(states)
         for a in states:
             survivors = alive[a]
-            masks = [mask for mask in order[a] if mask in survivors]
+            # In the order of the gammas' sorted member lists: deleting
+            # from a dict keeps the order of what is left.
+            masks = list(survivors)
             if sweep_rng is not None:
                 sweep_rng.shuffle(masks)
             slots = ctx.layouts[a].slots
@@ -661,22 +665,6 @@ def _has_submask(family: dict[int, int], t: int) -> bool:
             sub = (sub - 1) & t
         return False
     return not all(g & ~t for g in family)
-
-
-# Reversed, bin() puts bit j at position j.  Written "0" for a member and
-# "1" for a non-member, two masks compare as their ascending member lists
-# do: at the first difference the mask holding the lower member is
-# smaller, and a prefix (no member above) is smaller.
-_MEMBER_FIRST = str.maketrans("01", "10")
-
-
-def _lex_key(mask: int) -> str:
-    """Sort key ordering bitmasks over a class like their sorted gammas.
-
-    Classes are lexicographic, so ``sorted(gamma)`` lists the members in
-    ascending class position.
-    """
-    return bin(mask)[:1:-1].translate(_MEMBER_FIRST)
 
 
 def witness_path(

@@ -520,6 +520,15 @@ def test_witness_path_requires_closed_family(apl2, pl2, rho_cro):
         )
 
 
+def test_check_closed_rejects_successor_missing_from_family(apl2, pl2, rho_cro):
+    family = check_asyn_abs(apl2, pl2, rho_cro).family
+    family.check_closed()
+    # (0, 0) -> (0, 1) is an abstract step, and (0, 1) has no key at all.
+    partial = {s: v for s, v in family.terms.items() if s != (0, 1)}
+    with pytest.raises(NotClosedError, match=r"realisation of \(0, 1\)"):
+        StepTermFamily(family.mv1, family.mv2, family.phi, partial).check_closed()
+
+
 def _reference_sweep(phi, terms, sweep_rng=None):
     """The sweep of ``check_asyn_abs`` written on frozensets: gammas
     sorted as state lists and subset tests between state sets.
@@ -602,6 +611,35 @@ def _all_compressed_triple(rng):
     )
     phi = AbstractionMapping(mv2.max_levels, tuple(StateMapping(i, (0, 1, 1)) for i in range(4)))
     return rng.choice(enumerate_candidates(mv2, phi).models), mv2, phi
+
+
+def test_valid_subsets_in_sorted_gamma_order(apl2, apl2_bad, pl2, rho_cro, atrp, mtrp, phi_trp):
+    triples = [(apl2, pl2, rho_cro), (apl2_bad, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    rng = random.Random(31)
+    triples += [random_instance(rng) for _ in range(60)]
+    triples += [_all_compressed_triple(random.Random(seed)) for seed in (33, 13, 14)]
+    largest = 0
+    for mv1, mv2, phi in triples:
+        ctx = _Context(mv1, mv2, phi)
+        for a, klass in enumerate(ctx.members):
+            layout = ctx.layouts[a]
+            got = ctx.valid_subsets(a)
+            positions = range(len(klass))
+            members = [[j for j in positions if mask >> j & 1] for mask in got]
+            assert members == sorted(members)
+            expected = {}
+            for r in range(1, len(klass) + 1):
+                for combo in itertools.combinations(positions, r):
+                    mask = sum(1 << j for j in combo)
+                    packed = checker._derived(layout, mask)
+                    if (
+                        (packed + layout.fill) & layout.guards == layout.guards
+                        and not mask & layout.unsettleable
+                    ):
+                        expected[mask] = packed
+            assert got == expected
+            largest = max(largest, len(got))
+    assert largest > 10_000
 
 
 def test_mask_sweep_matches_reference_sweep(apl2, apl2_bad, pl2, rho_cro, atrp, mtrp, phi_trp):
