@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     StructureMismatchError,
     TooManyCandidatesError,
+    TooManyTracesError,
     UnsupportedError,
 )
 from .model import (

@@ -29,7 +29,7 @@ from .modelio import (
     state_labeler,
 )
 from .oracle import differential_suite, oracle_check
-from .semantics import ASYNC, SYNC, attractors, build_state_graph
+from .semantics import ASYNC, SYNC, attractors, build_state_graph, require_state_budget
 from .traces import async_traces
 
 OK, REFUTED, ERROR = 0, 1, 2
@@ -135,6 +135,7 @@ def cmd_abstract(args) -> int:
     else:
         label = state_labeler(phi.target_max_levels)
     if args.states:
+        require_state_budget(model)
         source = _labeler(model, args.labels)
         for s in iter_states(model):
             print(f"{source(s)} -> {label(phi.apply(s))}")

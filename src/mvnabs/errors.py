@@ -74,6 +74,11 @@ class StateSpaceTooLargeError(MvnError):
     construction, so building its graph could exhaust memory."""
 
 
+class TooManyTracesError(MvnError):
+    """A model has more asynchronous traces than the budget of trace
+    enumeration, so listing them could exhaust memory."""
+
+
 class TooManyCandidatesError(MvnError):
     """A mapping admits more candidate abstract models than the budget
     of candidate enumeration."""

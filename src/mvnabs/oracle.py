@@ -29,7 +29,7 @@ from .abstraction import (
     require_same_structure,
 )
 from .checker import check_asyn_abs, concrete_class, forward_holds
-from .errors import NonMonotoneMappingWarning, UnsupportedError
+from .errors import NonMonotoneMappingWarning, TooManyTracesError, UnsupportedError
 from .model import Entity, Mvn, Neighbourhood, NextStateTable
 from .modelio import serialize_mapping, serialize_model
 from .semantics import ASYNC, attractors, build_state_graph, reachable_set
@@ -38,8 +38,9 @@ from .traces import async_traces, trace_set_is_finite
 def oracle_check(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
     """Decide abstraction by direct trace-set inclusion.
 
-    Needs the concrete trace set to be finite (else
-    :class:`UnsupportedError`: the image cannot be enumerated).  An
+    Needs the concrete trace set to be finite and both trace sets within
+    the budget of :func:`~mvnabs.traces.async_traces` (else
+    :class:`UnsupportedError`: a trace set cannot be enumerated).  An
     infinite abstract trace set is decided without enumeration: it can
     never be included in the finite image.
     """
@@ -53,8 +54,11 @@ def oracle_check(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
         )
     if not trace_set_is_finite(g1):
         return False
-    t1 = async_traces(mv1, g1)
-    t2 = async_traces(mv2, g2)
+    try:
+        t1 = async_traces(mv1, g1)
+        t2 = async_traces(mv2, g2)
+    except TooManyTracesError as exc:
+        raise UnsupportedError(f"brute-force inclusion cannot enumerate: {exc}") from exc
     return t1 <= abstract_trace_set(phi, t2)
 
 

@@ -3,13 +3,23 @@
 Both update disciplines come from one rule, :func:`_next_levels`: each
 entity's next-state table applied to the current state, with input
 entities keeping their level.  It works column-wise, one column of next
-levels per entity over a whole batch of states, so a graph build applies
-it once to the full state space.  Under the synchronous discipline every
-entity updates simultaneously, so a state's one successor is its row of
-next levels (self-loops allowed).  Under the asynchronous discipline one
+levels per entity.  Under the synchronous discipline every entity
+updates simultaneously, so a state's one successor is its row of next
+levels (self-loops allowed).  Under the asynchronous discipline one
 entity updates at a time and only updates that actually change the
 state count, so successors are the single-entity changes towards that
 row and a state may have zero, one, or many of them.
+
+A graph build does not apply the rule state by state.  In the
+lexicographic order of the state space entity ``j`` holds each level for
+``place[j]`` states (see below), so its levels repeat with a period of
+``place[j]`` times its range size, and these periods divide one another.
+An entity's next level depends only on its inputs' levels, so its
+column repeats with the longest period among its inputs.  The build
+hands the rule one period of each entity's levels (its *block*), so
+every table is read once per state of that period, and then tiles the
+asynchronous moves and the synchronous successor indices to the full
+state space.
 
 Inside a graph every state is a node index: its mixed-radix number,
 with entity 0 the most significant digit, so ``nodes[k]`` is the state
@@ -33,11 +43,12 @@ kinds come from one Tarjan pass per graph, kept on the graph
 
 State graphs are materialised explicitly, which keeps every downstream
 analysis auditable.  Time and memory grow with the number of states,
-which is exponential in the number of entities, so a build refuses a
-state space above :data:`MAX_STATES`.  Every search over a graph
-(reachability here, and the witness lifts and forward search of the
-checker) is one breadth-first search, :func:`bfs`, with
-:func:`path_to` reading paths back from it.
+which is exponential in the number of entities, so a build first calls
+:func:`require_state_budget`, which refuses a state space above
+:data:`MAX_STATES`.  Every search over a graph (reachability here, and
+the witness lifts and forward search of the checker) is one
+breadth-first search, :func:`bfs`, with :func:`path_to` reading paths
+back from it.
 """
 
 from __future__ import annotations
@@ -56,29 +67,40 @@ SYNC = "sync"
 ASYNC = "async"
 
 # The state budget of graph construction.  An asynchronous build peaks
-# at about 630 bytes per state and keeps about 290 (tracemalloc, 12
-# ternary entities of fan-in 2, 7.9 successors per state), so a graph at
-# the budget peaks near 0.7 GB.  3**12 = 531,441 states fit.
+# at about 470 bytes per state and keeps about 290; a synchronous one
+# peaks at about 270 and keeps about 230 (tracemalloc, 12 ternary
+# entities of fan-in 2, 8.1 asynchronous successors per state).  So a
+# graph at the budget peaks near 0.5 GB.  3**12 = 531,441 states fit.
 MAX_STATES = 1 << 20
 
 
-def _next_levels(model: Mvn, current: list[Sequence[int]]) -> list[Sequence[int]]:
-    """The one update rule: each entity's table output in every state.
+def _next_levels(model: Mvn, blocks: list[Sequence[int]]) -> list[Sequence[int]]:
+    """The one update rule: each entity's table output over one period.
 
-    ``current`` holds one column of levels per entity over a batch of
-    states, and so does the result.  A table's keys are read off by
-    zipping its input columns, and input entities keep their level.
-    Row ``k`` of the result (``zip(*columns)``) is the synchronous
-    successor of the ``k``-th state.
+    ``blocks[j]`` is entity ``j``'s levels over one period of the batch
+    of states, and the lengths of the blocks divide one another.  Entity
+    ``i``'s next level depends only on its inputs' levels, so its output
+    column repeats with the longest period among its inputs: the table
+    is read once per state of that period, with every shorter input
+    block tiled to it.  An input entity keeps its level, so its column
+    is its own block.  Over a single state (blocks of length 1) row 0 of
+    the result is the synchronous successor.
     """
     out: list[Sequence[int]] = []
-    for column, nb, table in zip(current, model.neighbourhoods, model.tables):
+    for block, nb, table in zip(blocks, model.neighbourhoods, model.tables):
         if nb.inputs:
-            keys = zip(*(current[j] for j in nb.inputs))
+            inputs = [blocks[j] for j in nb.inputs]
+            period = max(map(len, inputs))
+            keys = zip(*[_tile(column, period) for column in inputs])
             out.append(list(map(table.rows.__getitem__, keys)))
         else:
-            out.append(column)
+            out.append(block)
     return out
+
+
+def _tile(column: Sequence[int], length: int) -> Sequence[int]:
+    """``column`` repeated to ``length``, a multiple of its length."""
+    return column if len(column) == length else column * (length // len(column))
 
 
 def _moves(state: GlobalState, target: GlobalState) -> list[GlobalState]:
@@ -198,6 +220,21 @@ def place_values(max_levels: Sequence[int]) -> list[int]:
     return places
 
 
+def require_state_budget(model: Mvn) -> int:
+    """The model's number of states, checked against :data:`MAX_STATES`.
+
+    Raises :class:`StateSpaceTooLargeError` above the budget.  A graph
+    build and ``mvnabs abstract --states`` call this before they list a
+    single state.
+    """
+    size = state_space_size(model)
+    if size > MAX_STATES:
+        raise StateSpaceTooLargeError(
+            f"model {model.name}: {size} states exceed the budget of {MAX_STATES}"
+        )
+    return size
+
+
 def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
     """Materialise the full state graph under the given discipline.
 
@@ -207,27 +244,30 @@ def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
     require_valid(model)
     if semantics not in (SYNC, ASYNC):
         raise ValueError(f"unknown semantics {semantics!r} (use {SYNC!r} or {ASYNC!r})")
-    size = state_space_size(model)
-    if size > MAX_STATES:
-        raise StateSpaceTooLargeError(
-            f"model {model.name}: {size} states exceed the budget of {MAX_STATES}"
-        )
+    size = require_state_budget(model)
     nodes = tuple(iter_states(model))
-    current = list(zip(*nodes))
-    columns = _next_levels(model, current)
     places = place_values(model.max_levels)
+    # Entity j's levels over one period: each held for place[j] states.
+    blocks = [
+        [v for level in range(max_level + 1) for v in repeat(level, place)]
+        for max_level, place in zip(model.max_levels, places)
+    ]
+    columns = _next_levels(model, blocks)
     if semantics == SYNC:
-        row = [0] * size
-        for column, place in zip(columns, places):
-            row = list(map(add, row, map(mul, column, repeat(place))))
-        out = tuple(zip(row))
+        # The successor index sums next * place over the entities.  The
+        # sum is formed shortest period first, tiled as the period grows.
+        row = [0]
+        for nxt, place in sorted(zip(columns, places), key=lambda c: len(c[0])):
+            row = list(map(add, _tile(row, len(nxt)), map(mul, nxt, repeat(place))))
+        out = tuple(zip(_tile(row, size)))
     else:
-        moves = [
-            list(map(mul, map(sub, nxt, cur), repeat(place)))
-            for cur, nxt, place, nb in zip(current, columns, places, model.neighbourhoods)
-            if nb.inputs
-        ]
-        del current, columns  # freed before the successor lists are built
+        moves = []
+        for block, nxt, place, nb in zip(blocks, columns, places, model.neighbourhoods):
+            if nb.inputs:
+                period = max(len(nxt), len(block))
+                step = map(sub, _tile(nxt, period), _tile(block, period))
+                moves.append(_tile(list(map(mul, step, repeat(place))), size))
+        del blocks, columns  # freed before the successor lists are built
         ids = list(range(size))  # one shared int per node index
         rows = zip(ids, zip(*moves)) if moves else zip(ids, repeat(()))
         # Node k steps by each of its nonzero moves.

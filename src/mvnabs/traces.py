@@ -20,16 +20,25 @@ cycle state had a second successor, running the cycle n times before
 branching away would produce infinitely many distinct traces; with the
 criterion satisfied, a walk that revisits a state is trapped in a
 deterministic cycle, so all branching happens on loop-free prefixes and
-the walk tree is finite.
+the walk tree is finite.  The lassos are counted before they are
+walked, and a trace set above :data:`MAX_TRACES` is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfiniteTraceSetError
+from .errors import InfiniteTraceSetError, TooManyTracesError
 from .model import GlobalState, Mvn
 from .semantics import ASYNC, SYNC, StateGraph, build_state_graph
+
+# The budget of asynchronous trace enumeration, in lassos.  The walk
+# keeps about 230 bytes per lasso of 9 states (tracemalloc, 9 Boolean
+# entities that each rise to 1: 986,410 lassos, 11.6 s), and longer
+# lassos cost 8 bytes more per state.  `mvnabs traces --json` peaks at
+# about 2.3 KB per lasso (the same model on 8 entities), so a trace set
+# at the budget takes near 0.6 GB there and about 60 MB in the walk.
+MAX_TRACES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,8 @@ def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
     """Every maximal asynchronous run, as canonical lassos.
 
     Requires a finite trace set (:class:`InfiniteTraceSetError`
+    otherwise) of at most :data:`MAX_TRACES` lassos, counted by
+    :func:`trace_count` before the walk (:class:`TooManyTracesError`
     otherwise).  Then the walk of :func:`_walk` finds every run: closing
     a lasso the first time a walk revisits a state on its path is sound
     because cycle states are deterministic under the finiteness
@@ -128,7 +139,32 @@ def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
         raise InfiniteTraceSetError(
             f"model {graph.name}: asynchronous trace set is infinite"
         )
+    count = trace_count(graph)
+    if count > MAX_TRACES:
+        raise TooManyTracesError(
+            f"model {graph.name}: {count} asynchronous traces exceed "
+            f"the budget of {MAX_TRACES}"
+        )
     return _walk(graph)
+
+
+def trace_count(graph: StateGraph) -> int:
+    """How many lassos :func:`async_traces` returns, found without a walk.
+
+    Needs a finite trace set.  One pass over the strongly connected
+    components, sinks first: a state with no successors, or inside a
+    nontrivial component (where the finiteness criterion makes the run
+    deterministic), starts one lasso; any other state starts as many as
+    its successors together.  Runs from distinct states or along
+    distinct paths are distinct lassos, so the total is the sum over
+    all states.
+    """
+    out = graph.out
+    counts = [1] * len(out)
+    for comp in graph.components:
+        if len(comp) == 1 and out[comp[0]]:
+            counts[comp[0]] = sum(map(counts.__getitem__, out[comp[0]]))
+    return sum(counts)
 
 
 def _walk(graph: StateGraph) -> TraceSet:

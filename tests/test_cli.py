@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mvnabs import abstraction, fixtures, semantics
+from mvnabs import abstraction, cli, fixtures, semantics, traces
 from mvnabs.cli import main
 from tests.test_abstraction import MANY_CHOICES_MAP, MANY_CHOICES_SOURCE
 from tests.test_semantics import HUGE_SOURCE
@@ -354,6 +354,41 @@ def test_state_budget_exits_2(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: model HUGE: 1152921504606846976 states exceed the budget of 1048576\n"
+    )
+
+
+def test_abstract_states_budget_exits_2(tmp_path, monkeypatch, capsys):
+    huge = tmp_path / "huge.mvn"
+    huge.write_text(HUGE_SOURCE, encoding="utf-8")
+    mapping = tmp_path / "huge.map"
+    mapping.write_text(
+        "X0: 0->0, " + ", ".join(f"{level}->1" for level in range(1, 16)) + "\n"
+        + "".join(f"X{i}: identity\n" for i in range(1, 15)),
+        encoding="utf-8",
+    )
+
+    def enumerate_states(model):
+        raise AssertionError("the state space was enumerated")
+
+    monkeypatch.setattr(cli, "iter_states", enumerate_states)
+    assert main(["abstract", str(huge), str(mapping), "--states"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model HUGE: 1152921504606846976 states exceed the budget of 1048576\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["traces", "PL2.mvn"], ["abstract", "PL2.mvn", "cro.map", "--traces"]]
+)
+def test_trace_budget_exits_2(files, monkeypatch, capsys, argv):
+    monkeypatch.setattr(traces, "MAX_TRACES", 9)
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model PL2: 10 asynchronous traces exceed the budget of 9\n"
     )
 
 

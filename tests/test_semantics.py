@@ -18,9 +18,10 @@ from mvnabs import (
 )
 from mvnabs import semantics
 from mvnabs.errors import StateSpaceTooLargeError
-from mvnabs.model import state_space_size
+from mvnabs.model import Entity, Mvn, Neighbourhood, NextStateTable, state_space_size
 from mvnabs.oracle import random_model
 from mvnabs.semantics import reachable_set
+from tests.test_graph_search import WIDE_SEEDS, wide_network
 
 PL2_ASYNC_EDGES = {
     ((0, 0), (0, 1)), ((0, 0), (1, 0)),
@@ -69,6 +70,60 @@ def table_next(model, state):
         model.tables[i].rows[tuple(state[j] for j in nb.inputs)] if nb.inputs else state[i]
         for i, nb in enumerate(model.neighbourhoods)
     )
+
+
+def assert_matches_tables(model, graph):
+    """Every state's successors are the ones :func:`table_next` gives."""
+    for s in graph.nodes:
+        target = table_next(model, s)
+        if graph.semantics == SYNC:
+            assert graph.succ[s] == (target,)
+        else:
+            moves = [s[:i] + (v,) + s[i + 1 :] for i, v in enumerate(target) if v != s[i]]
+            assert graph.succ[s] == tuple(sorted(moves))
+
+
+class CountingRows(dict):
+    """A table's rows that count their reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("semantics", [ASYNC, SYNC])
+def test_build_reads_each_table_once_per_period(semantics):
+    # A (0..2) reads C, B (0..1) reads A and C (0..3) reads only itself.
+    # Of the 24 states, C's levels repeat every 4 and A's every 24, so
+    # the tables of A and C are read 4 times per build and B's 24 times.
+    levels, inputs = (2, 1, 3), ((2,), (0,), (2,))
+    model = Mvn(
+        "Periods",
+        tuple(Entity(name, m) for name, m in zip("ABC", levels)),
+        tuple(Neighbourhood(i, ins) for i, ins in enumerate(inputs)),
+        tuple(
+            NextStateTable(i, CountingRows(
+                ((level,), level % (levels[i] + 1)) for level in range(levels[ins[0]] + 1)
+            ))
+            for i, ins in enumerate(inputs)
+        ),
+    )
+    graph = build_state_graph(model, semantics)
+    assert len(graph.nodes) == 24
+    # Net of validate's one read per row.
+    reads = [table.rows.reads - len(table.rows) for table in model.tables]
+    assert reads == [4, 24, 4]
+    assert_matches_tables(model, graph)
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+@pytest.mark.parametrize("semantics", [ASYNC, SYNC])
+def test_builds_match_table_reference_on_wide_networks(seed, semantics):
+    # Mixed radices, an input entity and one entity at LEVEL_CAP.
+    model = wide_network(seed)
+    assert_matches_tables(model, build_state_graph(model, semantics))
 
 
 def test_async_graph_edges_exact(pl2):
@@ -205,10 +260,7 @@ def test_async_graph_invariants(seed):
         assert model.tables[i].rows[model.inputs_of(i, u)] == v[i]
     points = {s for s in graph.nodes if not graph.succ[s]}
     assert points == {s for s in graph.nodes if not async_next(model, s)}
-    for s in graph.nodes:
-        target = table_next(model, s)
-        moves = [s[:i] + (target[i],) + s[i + 1 :] for i in range(len(s)) if target[i] != s[i]]
-        assert graph.succ[s] == tuple(sorted(moves))
+    assert_matches_tables(model, graph)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,7 +271,7 @@ def test_sync_graph_invariants(seed):
     assert all(len(graph.succ[s]) == 1 for s in graph.nodes)
     for s in graph.nodes:
         assert graph.succ[s][0] == sync_step(model, s)
-        assert graph.succ[s] == (table_next(model, s),)
+    assert_matches_tables(model, graph)
 
 
 @settings(max_examples=40, deadline=None)

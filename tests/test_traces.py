@@ -8,6 +8,8 @@ from mvnabs import (
     ASYNC,
     InfiniteTraceSetError,
     LassoTrace,
+    TooManyTracesError,
+    UnsupportedError,
     async_traces,
     attractors,
     build_state_graph,
@@ -17,10 +19,12 @@ from mvnabs import (
     sync_traces,
     trace_set_is_finite,
 )
-from mvnabs.fixtures import mtrp, pl2
-from mvnabs.oracle import random_model
+from mvnabs import traces
+from mvnabs.fixtures import apl2, mtrp, pl2, rho_cro
+from mvnabs.oracle import oracle_check, random_model
 from mvnabs.semantics import reachable_set
-from mvnabs.traces import is_trace_of
+from mvnabs.traces import is_trace_of, trace_count
+from tests.test_graph_search import NETWORK_SEEDS, network
 
 # A 2-cycle (00 <-> 01) where 00 can also escape to the fixed point 10:
 # the canonical shape of an infinite asynchronous trace set.
@@ -98,6 +102,36 @@ def test_branchy_has_pumping_witness():
 
 def test_async_traces_pl2_exact(pl2):
     assert async_traces(pl2) == PL2_TRACES
+
+
+def test_pl2_has_ten_traces(pl2):
+    graph = build_state_graph(pl2, ASYNC)
+    assert trace_count(graph) == len(async_traces(pl2, graph)) == 10
+
+
+def test_trace_count_matches_enumeration():
+    graphs = [build_state_graph(network(seed), ASYNC) for seed in NETWORK_SEEDS]
+    graphs += [build_state_graph(random_model(random.Random(s)), ASYNC) for s in range(200)]
+    finite = [g for g in graphs if trace_set_is_finite(g)]
+    assert len(finite) > 80
+    for graph in finite:
+        assert trace_count(graph) == len(async_traces(None, graph))
+
+
+def test_trace_budget_is_checked_before_the_walk(monkeypatch):
+    def walk(graph):
+        raise AssertionError("the traces were walked")
+
+    monkeypatch.setattr(traces, "MAX_TRACES", 9)
+    monkeypatch.setattr(traces, "_walk", walk)
+    with pytest.raises(TooManyTracesError, match="PL2: 10 asynchronous traces exceed"):
+        async_traces(pl2())
+
+
+def test_oracle_reports_trace_budget_as_unsupported(monkeypatch):
+    monkeypatch.setattr(traces, "MAX_TRACES", 9)
+    with pytest.raises(UnsupportedError, match="PL2: 10 asynchronous traces"):
+        oracle_check(apl2(), pl2(), rho_cro())
 
 
 def test_async_traces_infinite_raises():
