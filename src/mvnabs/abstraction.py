@@ -301,26 +301,22 @@ def enumerate_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
             f"mapping admits {count} candidate abstractions of {model.name} "
             f"({len(choice_points)} choice points), over the budget of {MAX_CANDIDATES}"
         )
+    neighbourhoods = tuple(
+        Neighbourhood(i, nb.inputs) for i, nb in enumerate(model.neighbourhoods)
+    )
     models = []
     for k, picks in enumerate(
         itertools.product(*(cp.options for cp in choice_points))
     ):
-        tables = []
-        for i in range(len(model.entities)):
-            rows = dict(fixed[i])
-            for cp, pick in zip(choice_points, picks):
-                if cp.entity == i:
-                    rows[cp.inputs] = pick
-            tables.append(NextStateTable(i, rows))
+        tables = [dict(rows) for rows in fixed]
+        for cp, pick in zip(choice_points, picks):
+            tables[cp.entity][cp.inputs] = pick
         models.append(
             Mvn(
                 name=f"{model.name}_abs{k}",
                 entities=entities,
-                neighbourhoods=tuple(
-                    Neighbourhood(i, nb.inputs)
-                    for i, nb in enumerate(model.neighbourhoods)
-                ),
-                tables=tuple(tables),
+                neighbourhoods=neighbourhoods,
+                tables=tuple(NextStateTable(i, rows) for i, rows in enumerate(tables)),
             )
         )
     return CandidateSet(tuple(models), tuple(choice_points))

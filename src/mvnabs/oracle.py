@@ -213,12 +213,14 @@ def reachability_soundness_suite(
 ) -> dict:
     """Exhaustively check that abstract reachability is concretely realised.
 
-    Requires the abstraction to hold.  For every ordered pair of
-    abstract states where the second is reachable from the first, there
-    must be concrete states with the matching images such that the
-    second is reachable from the first in the concrete model.
+    Requires the abstraction to hold, as decided by
+    :func:`~mvnabs.checker.forward_holds` (exact at any class size).
+    For every ordered pair of abstract states where the second is
+    reachable from the first, there must be concrete states with the
+    matching images such that the second is reachable from the first in
+    the concrete model.
     """
-    if not check_asyn_abs(mv1, mv2, phi).holds:
+    if not forward_holds(mv1, mv2, phi):
         raise ValueError("the abstraction does not hold; nothing to verify")
     g1 = build_state_graph(mv1, ASYNC)
     g2 = build_state_graph(mv2, ASYNC)

@@ -18,26 +18,29 @@ down by :func:`trace_set_is_finite`: every state inside a nontrivial
 strongly connected component must have out-degree exactly one.  If some
 cycle state had a second successor, running the cycle n times before
 branching away would produce infinitely many distinct traces; with the
-criterion satisfied, a walk that revisits a state is trapped in a
-deterministic cycle, so all branching happens on loop-free prefixes and
-the walk tree is finite.  The lassos are counted before they are
-walked, and a trace set above :data:`MAX_TRACES` is refused.
+criterion satisfied, every cycle is deterministic, so all branching
+happens on loop-free prefixes.  The lassos are then found by one pass
+over the components, sinks first (:func:`_lassos`), and counted by the
+same recursion (:func:`trace_count`) before they are built: a trace set
+above :data:`MAX_TRACES` is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InfiniteTraceSetError, TooManyTracesError
 from .model import GlobalState, Mvn
 from .semantics import ASYNC, SYNC, StateGraph, build_state_graph
 
-# The budget of asynchronous trace enumeration, in lassos.  The walk
-# keeps about 230 bytes per lasso of 9 states (tracemalloc, 9 Boolean
-# entities that each rise to 1: 986,410 lassos, 11.6 s), and longer
-# lassos cost 8 bytes more per state.  `mvnabs traces --json` peaks at
-# about 2.3 KB per lasso (the same model on 8 entities), so a trace set
-# at the budget takes near 0.6 GB there and about 60 MB in the walk.
+# The budget of asynchronous trace enumeration, in lassos.  The fold
+# keeps about 233 bytes per lasso and peaks at 258 (tracemalloc, 9
+# Boolean entities that each rise to 1: 986,410 lassos of up to 10
+# states, 3.9 s on a 2-vCPU Xeon), and longer lassos cost 8 bytes more
+# per state.  `mvnabs traces --json` peaks at about 2.3 KB per lasso
+# (the same model on 8 entities), so a trace set at the budget takes
+# near 0.6 GB there and about 70 MB in the fold.
 MAX_TRACES = 1 << 18
 
 
@@ -98,16 +101,14 @@ def canonicalize(trace: LassoTrace) -> LassoTrace:
     return LassoTrace(tuple(prefix), loop)
 
 
-def sync_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
+def sync_traces(model: Mvn) -> TraceSet:
     """One deterministic trace per initial state.
 
     Every state of the synchronous graph has exactly one successor, so
-    the walk of :func:`_walk` follows a single run from each state and
-    closes it into its lasso at the first repeated state.
+    each state starts one lasso: its run up to the cycle it falls into,
+    then that cycle (:func:`_lassos`).
     """
-    if graph is None:
-        graph = build_state_graph(model, SYNC)
-    return _walk(graph)
+    return _lassos(build_state_graph(model, SYNC))
 
 
 def trace_set_is_finite(graph: StateGraph) -> bool:
@@ -127,11 +128,8 @@ def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
 
     Requires a finite trace set (:class:`InfiniteTraceSetError`
     otherwise) of at most :data:`MAX_TRACES` lassos, counted by
-    :func:`trace_count` before the walk (:class:`TooManyTracesError`
-    otherwise).  Then the walk of :func:`_walk` finds every run: closing
-    a lasso the first time a walk revisits a state on its path is sound
-    because cycle states are deterministic under the finiteness
-    criterion.
+    :func:`trace_count` before any is built (:class:`TooManyTracesError`
+    otherwise).  Then :func:`_lassos` builds them.
     """
     if graph is None:
         graph = build_state_graph(model, ASYNC)
@@ -145,15 +143,15 @@ def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
             f"model {graph.name}: {count} asynchronous traces exceed "
             f"the budget of {MAX_TRACES}"
         )
-    return _walk(graph)
+    return _lassos(graph)
 
 
 def trace_count(graph: StateGraph) -> int:
-    """How many lassos :func:`async_traces` returns, found without a walk.
+    """How many lassos :func:`async_traces` returns, without building them.
 
-    Needs a finite trace set.  One pass over the strongly connected
-    components, sinks first: a state with no successors, or inside a
-    nontrivial component (where the finiteness criterion makes the run
+    Needs a finite trace set.  The recursion of :func:`_lassos`, on
+    counts: a state with no successors, or inside a nontrivial
+    component (where the finiteness criterion makes the run
     deterministic), starts one lasso; any other state starts as many as
     its successors together.  Runs from distinct states or along
     distinct paths are distinct lassos, so the total is the sum over
@@ -167,43 +165,37 @@ def trace_count(graph: StateGraph) -> int:
     return sum(counts)
 
 
-def _walk(graph: StateGraph) -> TraceSet:
-    """The lassos of a depth-first walk from every state of ``graph``.
+def _lassos(graph: StateGraph) -> TraceSet:
+    """Every lasso of ``graph``: the maximal runs from each of its states.
 
-    A walk ends at a successor-free state (finite trace) or closes into
-    a lasso the first time it revisits a state on the current path.  It
-    runs over node indices and decodes each lasso as it is found.
+    Needs every cycle state to have exactly one successor: true of every
+    synchronous graph and of every asynchronous one that passes
+    :func:`trace_set_is_finite`.  One pass over the strongly connected
+    components, sinks first.  A cycle (a nontrivial component, or a
+    synchronous self-loop) gives each of its states one lasso: an empty
+    prefix and the cycle read from that state.  A state with no
+    successors is the finite trace of itself.  Any other state goes in
+    front of every lasso of every successor.  Each lasso is built
+    canonical: its loop lists distinct states, so it is primitive, and
+    a prepended state lies off the loop, so the prefix is minimal.
     """
     nodes, out = graph.nodes, graph.out
-
-    def states(path) -> tuple[GlobalState, ...]:
-        return tuple(map(nodes.__getitem__, path))
-
-    traces: set[LassoTrace] = set()
-    for s0, first in enumerate(out):
-        if not first:
-            traces.add(LassoTrace((nodes[s0],), ()))
-            continue
-        path = [s0]
-        pos = {s0: 0}
-        iters = [iter(first)]
-        while iters:
-            nxt = next(iters[-1], None)
-            if nxt is None:
-                iters.pop()
-                del pos[path.pop()]
-                continue
-            if nxt in pos:
-                i = pos[nxt]
-                traces.add(canonicalize(LassoTrace(states(path[:i]), states(path[i:]))))
-                continue
-            if not out[nxt]:
-                traces.add(LassoTrace(states(path + [nxt]), ()))
-                continue
-            pos[nxt] = len(path)
-            path.append(nxt)
-            iters.append(iter(out[nxt]))
-    return frozenset(traces)
+    runs: list[list[LassoTrace]] = [[]] * len(out)  # each entry set once
+    for comp in graph.components:
+        u = comp[0]
+        if len(comp) > 1 or u in out[u]:
+            cycle = [u]
+            while (v := out[cycle[-1]][0]) != u:
+                cycle.append(v)
+            loop = tuple(map(nodes.__getitem__, cycle))
+            for i, k in enumerate(cycle):
+                runs[k] = [LassoTrace((), loop[i:] + loop[:i])]
+        elif out[u]:
+            head = (nodes[u],)
+            runs[u] = [LassoTrace(head + t.prefix, t.loop) for v in out[u] for t in runs[v]]
+        else:
+            runs[u] = [LassoTrace((nodes[u],), ())]
+    return frozenset(chain.from_iterable(runs))
 
 
 def is_trace_of(graph: StateGraph, trace: LassoTrace) -> bool:

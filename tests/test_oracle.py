@@ -137,7 +137,7 @@ def test_forward_divergence_is_reported(monkeypatch, capsys):
     assert "divergence (forward) at instance 0:" in capsys.readouterr().out
 
 
-def test_forward_holds_beyond_the_class_size_cap():
+def wide_triple():
     # The instance of test_class_size_guard: classes of up to 81 states,
     # which the step-term checker refuses to enumerate.
     lines = "\n".join(f"  {v} -> {v}" for v in range(10))
@@ -153,8 +153,19 @@ def test_forward_holds_beyond_the_class_size_cap():
     )
     ones = ",".join(f"{v}->1" for v in range(1, 10))
     phi = parse_mapping(f"X: 0->0,{ones}\nY: 0->0,{ones}", model)
+    return abstract, model, phi
+
+
+def test_forward_holds_beyond_the_class_size_cap():
+    abstract, model, phi = wide_triple()
     assert forward_holds(abstract, model, phi) is True
     assert oracle_check(abstract, model, phi) is True
+
+
+def test_reachability_soundness_beyond_the_class_size_cap():
+    report = reachability_soundness_suite(*wide_triple())
+    # Every abstract state is a fixed point: each reaches only itself.
+    assert report == {"pairs_checked": 4, "failures": []}
 
 
 def test_reachability_soundness_fixtures(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):

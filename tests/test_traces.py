@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mvnabs import (
     ASYNC,
+    SYNC,
     InfiniteTraceSetError,
     LassoTrace,
     TooManyTracesError,
@@ -20,7 +21,7 @@ from mvnabs import (
     trace_set_is_finite,
 )
 from mvnabs import traces
-from mvnabs.fixtures import apl2, mtrp, pl2, rho_cro
+from mvnabs.fixtures import apl2, atrp, mtrp, pl2, rho_cro
 from mvnabs.oracle import oracle_check, random_model
 from mvnabs.semantics import reachable_set
 from mvnabs.traces import is_trace_of, trace_count
@@ -118,12 +119,78 @@ def test_trace_count_matches_enumeration():
         assert trace_count(graph) == len(async_traces(None, graph))
 
 
+def reference_lassos(graph):
+    """Every lasso by a depth-first walk over every path, canonicalized.
+
+    A walk ends at a successor-free state or closes into a lasso the
+    first time it revisits a state on its path: an enumeration that
+    shares nothing with the component fold it checks.
+    """
+    nodes, out = graph.nodes, graph.out
+
+    def states(path):
+        return tuple(nodes[k] for k in path)
+
+    found = set()
+    for s0, first in enumerate(out):
+        if not first:
+            found.add(LassoTrace((nodes[s0],), ()))
+            continue
+        path, pos, iters = [s0], {s0: 0}, [iter(first)]
+        while iters:
+            nxt = next(iters[-1], None)
+            if nxt is None:
+                iters.pop()
+                del pos[path.pop()]
+            elif nxt in pos:
+                i = pos[nxt]
+                found.add(canonicalize(LassoTrace(states(path[:i]), states(path[i:]))))
+            elif not out[nxt]:
+                found.add(LassoTrace(states(path + [nxt]), ()))
+            else:
+                pos[nxt] = len(path)
+                path.append(nxt)
+                iters.append(iter(out[nxt]))
+    return found
+
+
+def all_rise(n):
+    """``n`` Boolean entities that each rise to 1 and stay there."""
+    lines = [f"mvn Rise{n}"]
+    lines += [f"entity X{i} : 0..1" for i in range(n)]
+    lines += [f"neighbourhood X{i} = [X{i}]" for i in range(n)]
+    for i in range(n):
+        lines += [f"table X{i}:", "  0 -> 1", "  1 -> 1"]
+    return parse_model("\n".join(lines) + "\n")
+
+
+def reference_models():
+    yield from (pl2(), apl2(), mtrp(), atrp())
+    yield from (network(seed) for seed in NETWORK_SEEDS)
+    yield from (random_model(random.Random(s)) for s in range(300))
+    yield all_rise(6)
+
+
+def test_enumeration_matches_the_reference_walk():
+    finite = 0
+    for model in reference_models():
+        pairs = [(sync_traces(model), build_state_graph(model, SYNC))]
+        graph = build_state_graph(model, ASYNC)
+        if trace_set_is_finite(graph):
+            pairs.append((async_traces(model, graph), graph))
+            finite += 1
+        for found, graph in pairs:
+            assert found == reference_lassos(graph)
+            assert all(canonicalize(t) == t for t in found)
+    assert finite > 120
+
+
 def test_trace_budget_is_checked_before_the_walk(monkeypatch):
     def walk(graph):
         raise AssertionError("the traces were walked")
 
     monkeypatch.setattr(traces, "MAX_TRACES", 9)
-    monkeypatch.setattr(traces, "_walk", walk)
+    monkeypatch.setattr(traces, "_lassos", walk)
     with pytest.raises(TooManyTracesError, match="PL2: 10 asynchronous traces exceed"):
         async_traces(pl2())
 
