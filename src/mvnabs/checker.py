@@ -258,9 +258,6 @@ class _Context:
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
         require_same_structure(mv1, mv2)
         require_mapping_fits(phi, mv1, mv2)
-        self.mv1 = mv1
-        self.mv2 = mv2
-        self.phi = phi
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
         self.image_index = _image_index(phi)

@@ -320,12 +320,12 @@ def _tarjan(out: Sequence[Sequence[int]]) -> list[list[int]]:
     Iterative (explicit recursion stack) so deep graphs cannot hit the
     interpreter recursion limit.  Roots are tried in index order and
     successors in list order; components come out in reverse
-    topological order of the condensation.
+    topological order of the condensation.  An emitted node is renumbered
+    ``n``, so it never lowers a lowlink: no on-stack flags are kept.
     """
     n = len(out)
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     order = count()
@@ -336,7 +336,6 @@ def _tarjan(out: Sequence[Sequence[int]]) -> list[list[int]]:
     def enter(node: int) -> None:
         index[node] = lowlink[node] = next(order)
         stack.append(node)
-        on_stack[node] = True
         work.append((node, iter(out[node])))
 
     for root in range(n):
@@ -349,7 +348,7 @@ def _tarjan(out: Sequence[Sequence[int]]) -> list[list[int]]:
                 if index[child] < 0:
                     enter(child)
                     break
-                if on_stack[child] and index[child] < lowlink[node]:
+                if index[child] < lowlink[node]:
                     lowlink[node] = index[child]
             else:
                 work.pop()
@@ -357,7 +356,7 @@ def _tarjan(out: Sequence[Sequence[int]]) -> list[list[int]]:
                     scc = []
                     while True:
                         top = stack.pop()
-                        on_stack[top] = False
+                        index[top] = n
                         scc.append(top)
                         if top == node:
                             break
@@ -385,32 +384,22 @@ def _states(graph: StateGraph, nodes: Iterable[int]) -> frozenset[GlobalState]:
 
 
 def attractors(graph: StateGraph) -> AttractorSet:
-    """Find the attractors of a state graph.
+    """Find the attractors of a state graph in one loop over its SCCs.
 
-    Asynchronous graphs: point attractors are exactly the states with no
-    successors; every nontrivial SCC is reported as an ``"scc"``
-    attractor with a ``terminal`` flag saying whether it has no exits.
-    Synchronous graphs: every state has one successor, so the
-    nontrivial SCCs are exactly the cycles that iteration enters: a
-    single state with a self-loop is a ``"point"``, a larger SCC a
-    ``"cycle"``.
+    A point is a one-state SCC with no successors (asynchronous) or a
+    self-loop (synchronous).  Any larger SCC is an attractor: a
+    ``"cycle"`` that synchronous iteration enters, or an asynchronous
+    ``"scc"`` whose ``terminal`` flag says whether it has no exits.
     """
     out = graph.out
     found: list[tuple[int, Attractor]] = []  # keyed by the smallest member
-    if graph.semantics == ASYNC:
-        for k, vs in enumerate(out):
-            if not vs:
-                found.append((k, Attractor("point", frozenset({graph.nodes[k]}), True)))
     for comp in graph.components:
-        if graph.semantics == ASYNC:
-            if len(comp) > 1:  # async graphs have no self-loops
-                members = set(comp)
-                terminal = all(v in members for u in comp for v in out[u])
-                found.append((min(comp), Attractor("scc", _states(graph, comp), terminal)))
-        elif len(comp) > 1:
-            found.append((min(comp), Attractor("cycle", _states(graph, comp), True)))
-        elif comp[0] in out[comp[0]]:
-            found.append((comp[0], Attractor("point", _states(graph, comp), True)))
+        u = comp[0]
+        if len(comp) > 1 or not out[u] or u in out[u]:
+            members = set(comp)
+            terminal = all(v in members for w in comp for v in out[w])
+            kind = "point" if len(comp) == 1 else "scc" if graph.semantics == ASYNC else "cycle"
+            found.append((min(comp), Attractor(kind, _states(graph, comp), terminal)))
     found.sort(key=itemgetter(0))
     return AttractorSet(graph.semantics, tuple(a for _, a in found))
 

@@ -586,30 +586,30 @@ def _reference_sweep(phi, terms, sweep_rng=None):
             return outcome(True, None, None, iterations)
 
 
-def _all_compressed_triple(rng):
-    """4 ternary entities of fan-in 2, all compressed by 0->0,1->1,2->1.
+def _all_compressed_triple(rng, n=4, noise=0.1):
+    """n ternary entities of fan-in 2, all compressed by 0->0,1->1,2->1.
 
-    Concrete outputs mostly respect one abstract table, so candidates
-    stay few; the abstract model is one of them.  Classes have up to 16
-    states.
+    Concrete outputs respect one abstract table except for a ``noise``
+    share drawn freely, so candidates stay few (one at noise 0); the
+    abstract model is one of them.  Classes have up to 2^n states.
     """
     pre = [[0], [1, 2]]
-    inputs = [tuple(sorted(rng.sample(range(4), 2))) for _ in range(4)]
+    inputs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)]
     tables = []
-    for i in range(4):
+    for i in range(n):
         rows = {}
         for u in itertools.product(range(2), repeat=2):
             target = pre[rng.randrange(2)]
             for x in itertools.product(pre[u[0]], pre[u[1]]):
-                rows[x] = rng.choice(target) if rng.random() >= 0.1 else rng.randrange(3)
+                rows[x] = rng.choice(target) if rng.random() >= noise else rng.randrange(3)
         tables.append(NextStateTable(i, rows))
     mv2 = Mvn(
         "Q",
-        tuple(Entity(f"X{i}", 2) for i in range(4)),
-        tuple(Neighbourhood(i, inputs[i]) for i in range(4)),
+        tuple(Entity(f"X{i}", 2) for i in range(n)),
+        tuple(Neighbourhood(i, inputs[i]) for i in range(n)),
         tuple(tables),
     )
-    phi = AbstractionMapping(mv2.max_levels, tuple(StateMapping(i, (0, 1, 1)) for i in range(4)))
+    phi = AbstractionMapping(mv2.max_levels, tuple(StateMapping(i, (0, 1, 1)) for i in range(n)))
     return rng.choice(enumerate_candidates(mv2, phi).models), mv2, phi
 
 

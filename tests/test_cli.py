@@ -300,6 +300,26 @@ def test_check_json_schema(files, capsys):
     assert report["iterations"] >= 1
 
 
+def test_check_witness_prints_the_removal_chain(files, capsys):
+    # MTRP candidate 2 is refuted while pruning, after five removals.
+    cands = files["dir"] / "cands"
+    assert main(["candidates", files["MTRP.mvn"], files["trp.map"],
+                 "--out-dir", str(cands)]) == 0
+    argv = ["check", str(cands / "candidate_2.mvn"), files["MTRP.mvn"], files["trp.map"]]
+    capsys.readouterr()
+    assert main(argv + ["--witness"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "failed at abstract state 1000: all step terms for this state were pruned",
+        "  removed (0010, {0010}) — successor 0011 unrealised",
+        "  removed (0011, {0011,0012}) — successor 0111 unrealised",
+        "  removed (0011, {0012}) — successor 0111 unrealised",
+        "  removed (0110, {0110}) — successor 0010 unrealised",
+        "  removed (1000, {1000}) — successor 1001 unrealised",
+    ]
+    assert main(argv + ["--json"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["witness"]["removals"]) == 5
+
+
 def test_check_structure_mismatch_exit_2(files, capsys):
     assert main(["check", files["ATRP.mvn"], files["PL2.mvn"], files["cro.map"]]) == 2
     assert "error" in capsys.readouterr().err

@@ -91,6 +91,45 @@ def test_parse_error_carries_line():
     assert err.value.line == 3
 
 
+ONE = "mvn X\nentity A : 0..1\nneighbourhood A = [A]\ntable A:\n"
+
+
+@pytest.mark.parametrize(
+    "document, message, line",
+    [
+        ("mvn X\nentity A : 0..1\nentity A : 0..1\n", "duplicate entity A", 3),
+        ("mvn X\nentity A : 1..2\n", "entity A: range must start at 0", 2),
+        (
+            "mvn X\nentity A : 0..1\nneighbourhood A = []\nneighbourhood A = []\n",
+            "duplicate neighbourhood for A",
+            4,
+        ),
+        (ONE + "  0 -> 1\n  1 -> 0\ntable A:\n", "duplicate table for A", 7),
+        ("mvn X\n", "model declares no entities", 1),
+        (
+            "mvn X\nentity A : 0..1\nentity B : 0..1\nneighbourhood A = []\n",
+            "entity B: missing neighbourhood declaration",
+            3,
+        ),
+        ("mvn X\nentity A : 0..1\nneighbourhood A = [A]\n", "entity A: missing table", 2),
+        (ONE + "  0 1 -> 1\n", "entity A: row has 2 input columns, expected 1", 5),
+        (ONE + "  0 -> 1\n  1 -> 2\n", "entity A: output level 2 outside 0..1", 6),
+        (ONE + "  2 -> 0\n", "entity A: input level 2 outside A's range 0..1", 5),
+        ("A: 0->0, 0->1, 1->1, 2->1", "entity A: level 0 mapped twice", None),
+    ],
+)
+def test_parse_error_message_and_line(document, message, line):
+    # A document that does not start with "mvn" is a mapping of A : 0..2.
+    ternary = parse_model(ONE.replace("0..1", "0..2") + "  0,1,2 -> 0\n")
+    with pytest.raises((ParseError, MappingError)) as err:
+        if document.startswith("mvn"):
+            parse_model(document)
+        else:
+            parse_mapping(document, ternary)
+    assert getattr(err.value, "line", None) == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
 @pytest.mark.parametrize("model", [pl2(), apl2(), mtrp(), atrp()])
 def test_model_round_trip(model):
     assert parse_model(serialize_model(model)) == model

@@ -1,9 +1,19 @@
+import random
+import warnings
+
 import pytest
 
 from mvnabs import (
+    ASYNC,
+    MappingMismatchError,
+    NonMonotoneMappingWarning,
+    StructureMismatchError,
     UnsupportedError,
     attractor_correspondence,
+    attractors,
+    build_state_graph,
     check_asyn_abs,
+    concrete_class,
     differential_suite,
     enumerate_candidates,
     forward_holds,
@@ -12,7 +22,12 @@ from mvnabs import (
     parse_model,
     reachability_soundness_suite,
 )
+from mvnabs import oracle, semantics
 from mvnabs.cli import main
+from mvnabs.fixtures import PL2_SOURCE
+from mvnabs.oracle import random_instance
+from mvnabs.semantics import reachable_set
+from tests.test_checker import _all_compressed_triple
 from tests.test_traces import BRANCHY_SOURCE
 
 
@@ -188,3 +203,93 @@ def test_attractor_correspondence_fixtures(apl2, pl2, rho_cro, atrp, mtrp, phi_t
     assert report["attractors_checked"] == 2 and report["failures"] == []
     report = attractor_correspondence(atrp, mtrp, phi_trp)
     assert report["attractors_checked"] == 2 and report["failures"] == []
+
+
+def reference_reachability(mv1, mv2, phi):
+    """The reachability suite's body as one search per concrete state:
+    an abstract pair is realised when some member of the first class
+    reaches some member of the second."""
+    g1 = build_state_graph(mv1, ASYNC)
+    g2 = build_state_graph(mv2, ASYNC)
+    reach2 = {s: reachable_set(g2, s) for s in g2.nodes}
+    pairs = 0
+    failures = []
+    for s1 in g1.nodes:
+        for s2 in reachable_set(g1, s1):
+            pairs += 1
+            klass2 = concrete_class(phi, s2)
+            if not any(klass2 & reach2[c1] for c1 in concrete_class(phi, s1)):
+                failures.append({"from": s1, "to": s2})
+    return {"pairs_checked": pairs, "failures": failures}
+
+
+def reference_attractors(mv1, mv2, phi):
+    """The attractor suite's body over concrete classes: a host meets
+    the class of every abstract member."""
+    a1 = attractors(build_state_graph(mv1, ASYNC))
+    a2 = attractors(build_state_graph(mv2, ASYNC))
+    failures = []
+    for att in a1.attractors:
+        if not any(
+            all(concrete_class(phi, s) & b.states for s in att.states)
+            for b in a2.attractors
+        ):
+            failures.append({"attractor": sorted(att.states)})
+    return {"attractors_checked": len(a1.attractors), "failures": failures}
+
+
+def _sorted_failures(report):
+    return dict(report, failures=sorted(report["failures"], key=repr))
+
+
+def test_suites_match_their_references(monkeypatch, apl2, pl2, rho_cro, mtrp, phi_trp):
+    # The precondition is lifted so refuted triples reach the failure
+    # branches too; the references never had one.
+    monkeypatch.setattr(oracle, "forward_holds", lambda *args: True)
+    triples = [(apl2, pl2, rho_cro)]
+    triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
+    rng = random.Random(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonMonotoneMappingWarning)
+        triples += [random_instance(rng) for _ in range(300)]
+    reach_failures = attractor_failures = 0
+    for triple in triples:
+        got = reachability_soundness_suite(*triple)
+        assert _sorted_failures(got) == _sorted_failures(reference_reachability(*triple))
+        assert got["failures"] == sorted(got["failures"], key=lambda f: (f["from"], f["to"]))
+        reach_failures += bool(got["failures"])
+        got = attractor_correspondence(*triple)
+        assert got == reference_attractors(*triple)
+        attractor_failures += bool(got["failures"])
+    assert reach_failures > 0 and attractor_failures > 0
+
+
+def test_suites_start_no_search(monkeypatch, atrp, mtrp, phi_trp):
+    # Both suites read each graph's components; no breadth-first search
+    # starts from any state, concrete or abstract.
+    def refuse(*args):
+        raise AssertionError("a search was started")
+
+    monkeypatch.setattr(oracle, "forward_holds", lambda *args: True)
+    monkeypatch.setattr(semantics, "bfs", refuse)
+    assert reachability_soundness_suite(atrp, mtrp, phi_trp)["pairs_checked"] == 72
+    assert attractor_correspondence(atrp, mtrp, phi_trp)["failures"] == []
+
+
+def test_reachability_soundness_on_the_probe():
+    # The ROADMAP's scale probe at n = 8: 6,561 concrete states.
+    report = reachability_soundness_suite(*_all_compressed_triple(random.Random(0), 8, 0))
+    assert report == {"pairs_checked": 24396, "failures": []}
+
+
+def test_attractor_correspondence_checks_the_triple(apl2, pl2, mtrp, phi_trp):
+    wide = parse_model(
+        PL2_SOURCE.replace("Cro : 0..2", "Cro : 0..3").replace(" 2 -> ", " 2,3 -> ")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonMonotoneMappingWarning)
+        phi = parse_mapping("CI: identity\nCro: 0->0, 1->1, 2->1, 3->0", wide)
+    with pytest.raises(MappingMismatchError):
+        attractor_correspondence(apl2, pl2, phi)
+    with pytest.raises(StructureMismatchError):
+        attractor_correspondence(apl2, mtrp, phi_trp)
