@@ -46,6 +46,7 @@ from .modelio import (
     serialize_mapping,
     serialize_model,
     state_label,
+    state_labels,
 )
 from .semantics import (
     ASYNC,
@@ -53,6 +54,7 @@ from .semantics import (
     Attractor,
     AttractorSet,
     StateGraph,
+    StateSpace,
     async_next,
     attractors,
     build_state_graph,
@@ -76,6 +78,7 @@ from .abstraction import (
     abstract_trace_set,
     check_sync_abstraction,
     enumerate_candidates,
+    image_index,
 )
 from .checker import (
     CheckResult,

@@ -32,6 +32,7 @@ from .errors import (
     TooManyCandidatesError,
 )
 from .model import Entity, GlobalState, Mvn, Neighbourhood, NextStateTable
+from .semantics import place_values
 from .traces import LassoTrace, TraceSet, canonicalize, sync_traces
 
 # The budget of candidate enumeration.  Each candidate is a whole model:
@@ -147,6 +148,24 @@ class AbstractionMapping:
                     NonMonotoneMappingWarning,
                     stacklevel=3,
                 )
+
+
+def image_index(phi: AbstractionMapping) -> list[int]:
+    """The abstract node index of every concrete node index under ``phi``.
+
+    The one image function on node indices (see
+    :mod:`mvnabs.semantics`), listed in concrete index order and built
+    column-wise like the numbering itself: entity i contributes
+    ``level_image(i, level)`` times its abstract place, and extending
+    every index so far by each level of the next entity lists the
+    concrete nodes in index order.
+    """
+    places = place_values(phi.target_max_levels)
+    images = [0]
+    for i, (top, place) in enumerate(zip(phi.source_max_levels, places)):
+        column = [phi.level_image(i, level) * place for level in range(top + 1)]
+        images = [a + b for a in images for b in column]
+    return images
 
 
 def require_same_structure(mv1: Mvn, mv2: Mvn) -> None:

@@ -40,7 +40,8 @@ order.  Successor sets are a pure function of (S, Gamma), so terms are
 keyed by that pair and the closure test scans one family.
 
 Each check computes its tables once, on node indices, as flat arrays:
-the abstract index of every concrete node (summed column-wise from
+the abstract index of every concrete node
+(:func:`~mvnabs.abstraction.image_index`, summed column-wise from
 per-entity tables of ``phi.level_image``, with no ``phi.apply`` call),
 every class as the ascending list of its members' indices, each
 node's position in its class and, per concrete node g, the derived
@@ -96,6 +97,7 @@ from dataclasses import dataclass, field
 
 from .abstraction import (
     AbstractionMapping,
+    image_index,
     require_mapping_fits,
     require_same_structure,
     require_source_fits,
@@ -108,7 +110,6 @@ from .semantics import (
     bfs,
     build_state_graph,
     path_to,
-    place_values,
     reachable_set,
 )
 
@@ -139,22 +140,6 @@ def concrete_class(phi: AbstractionMapping, state: GlobalState) -> StateSet:
     )
 
 
-def _image_index(phi: AbstractionMapping) -> list[int]:
-    """The abstract node index of every concrete node index under ``phi``.
-
-    Built column-wise like the node numbering itself: entity i
-    contributes ``level_image(i, level)`` times its abstract place, and
-    extending every index so far by each level of the next entity lists
-    the concrete nodes in index order.
-    """
-    places = place_values(phi.target_max_levels)
-    images = [0]
-    for i, (top, place) in enumerate(zip(phi.source_max_levels, places)):
-        column = [phi.level_image(i, level) * place for level in range(top + 1)]
-        images = [a + b for a in images for b in column]
-    return images
-
-
 def _node(g1: StateGraph, state: GlobalState) -> int:
     """The abstract node index of ``state``."""
     try:
@@ -174,7 +159,7 @@ def consec_closure(mv2: Mvn, phi: AbstractionMapping, state: GlobalState) -> Sta
     """Least set containing ``state`` and closed under same-image steps."""
     require_source_fits(phi, mv2)
     graph = build_state_graph(mv2, ASYNC)
-    return reachable_set(_stutter_graph(graph, _image_index(phi)), state)
+    return reachable_set(_stutter_graph(graph, image_index(phi)), state)
 
 
 @dataclass(frozen=True)
@@ -260,9 +245,9 @@ class _Context:
         require_mapping_fits(phi, mv1, mv2)
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
-        self.image_index = _image_index(phi)
+        self.image_index = image_index(phi)
         self.stutter = _stutter_graph(self.g2, self.image_index)
-        self.members: list[list[int]] = [[] for _ in self.g1.nodes]
+        self.members: list[list[int]] = [[] for _ in range(len(self.g1.nodes))]
         self.pos: list[int] = []
         for k, a in enumerate(self.image_index):  # ascending, so every class is sorted
             klass = self.members[a]
@@ -684,7 +669,7 @@ def witness_path(
     require_mapping_fits(family.phi, family.mv1, family.mv2)
     g1 = build_state_graph(family.mv1, ASYNC)
     g2 = build_state_graph(family.mv2, ASYNC)
-    images = _image_index(family.phi)
+    images = image_index(family.phi)
     steps = [_node(g1, state) for state in gamma_path]
     for u, v, a, b in zip(gamma_path, gamma_path[1:], steps, steps[1:]):
         if b not in g1.out[a]:

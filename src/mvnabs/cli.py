@@ -8,16 +8,17 @@ property is refuted, 2 for any input or usage problem.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
 from pathlib import Path
 
 from . import __version__
-from .abstraction import abstract_trace_set, enumerate_candidates
+from .abstraction import abstract_trace_set, enumerate_candidates, image_index
 from .checker import check_asyn_abs
 from .errors import MvnError, ParseError
-from .model import iter_states, validate
+from .model import validate
 from .modelio import (
     export_dot,
     export_report,
@@ -27,6 +28,7 @@ from .modelio import (
     serialize_mapping,
     serialize_model,
     state_labeler,
+    state_labels,
 )
 from .oracle import differential_suite, oracle_check
 from .semantics import ASYNC, SYNC, attractors, build_state_graph, require_state_budget
@@ -130,16 +132,18 @@ def cmd_abstract(args) -> int:
     model = _load_model(args.model)
     phi = parse_mapping(_read(args.mapping), model)
     # Abstract states keep the entity names, so --labels names both sides.
+    names = [e.name for e in model.entities] if args.labels else None
+    if args.states:
+        require_state_budget(model)
+        source = state_labels(model.max_levels, names)
+        target = state_labels(phi.target_max_levels, names)
+        images = map(target.__getitem__, image_index(phi))
+        sys.stdout.write("".join(map("{} -> {}\n".format, source, images)))
+        return OK
     if args.labels:
         label = _labeler(model, True)
     else:
         label = state_labeler(phi.target_max_levels)
-    if args.states:
-        require_state_budget(model)
-        source = _labeler(model, args.labels)
-        for s in iter_states(model):
-            print(f"{source(s)} -> {label(phi.apply(s))}")
-        return OK
     image = abstract_trace_set(phi, async_traces(model))
     if args.json:
         sys.stdout.write(export_report(image, phi.target_max_levels))
@@ -231,13 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a model file's invariants")
     p.add_argument("model")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("graph", help="export a state graph as DOT")
     p.add_argument("model")
     p.add_argument("--semantics", choices=[SYNC, ASYNC], default=ASYNC)
     p.add_argument("--dot", required=True, metavar="OUT", help="output path or -")
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("attractors", help="list attractors")
     p.add_argument("model")
@@ -247,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit {type, semantics, attractors: [{kind, states, terminal}]}",
     )
     p.add_argument("--labels", action="store_true", help="print entity=level labels")
-    p.set_defaults(func=cmd_attractors)
 
     p = sub.add_parser("traces", help="enumerate asynchronous traces")
     p.add_argument("model")
@@ -256,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit {type, traces: [{prefix, loop}]} (empty loop = finite)",
     )
     p.add_argument("--labels", action="store_true")
-    p.set_defaults(func=cmd_traces)
 
     p = sub.add_parser("abstract", help="abstract a model's states or traces")
     p.add_argument("model")
@@ -269,13 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --traces: emit {type, traces: [{prefix, loop}]}",
     )
     p.add_argument("--labels", action="store_true")
-    p.set_defaults(func=cmd_abstract)
 
     p = sub.add_parser("candidates", help="write every candidate abstraction")
     p.add_argument("model")
     p.add_argument("mapping")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("check", help="step-term abstraction check")
     p.add_argument("abstract")
@@ -288,13 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit {type, holds, iterations, abstract_states, max_class_size,"
              " initial_terms, removed_terms, surviving_terms, witness}",
     )
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle-check", help="brute-force trace-inclusion check")
     p.add_argument("abstract")
     p.add_argument("concrete")
     p.add_argument("mapping")
-    p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("fuzz", help="differential suite: checker vs oracle")
     p.add_argument("--seed", type=int, default=0)
@@ -303,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit {seed, count, supported, both_finite, divergences}",
     )
-    p.set_defaults(func=cmd_fuzz)
     return parser
 
 
@@ -311,16 +306,23 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it keeps no per-call state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up by name at each call, so a replaced cmd_* function runs.
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         # Library warnings reach the user as one line each, not in
         # Python's format with a source path and line.
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = _print_warning
-            return args.func(args)
+            return command(args)
     except MvnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

@@ -17,22 +17,32 @@ class ModelValidationError(MvnError):
         super().__init__("; ".join(self.diagnostics))
 
 
+def _at(message, line, column=None) -> str:
+    """``message`` prefixed with its location, when there is one."""
+    if line is None:
+        return message
+    where = f"line {line}" + (f", column {column}" if column is not None else "")
+    return f"{where}: {message}"
+
+
 class ParseError(MvnError):
     """A model or mapping document failed to parse, with a location."""
 
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{where}: {message}"
-        super().__init__(message)
+        super().__init__(_at(message, line, column))
 
 
 class MappingError(MvnError):
     """An abstraction mapping violates its invariants (totality,
     surjectivity, codomain size, or the requirement that at least one
-    entity is properly compressed)."""
+    entity is properly compressed).  ``line`` is the line of the
+    offending clause when the mapping is parsed from a document."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        super().__init__(_at(message, line))
 
 
 class StructureMismatchError(MvnError):

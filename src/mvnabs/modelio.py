@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from typing import Callable
+from typing import Callable, Sequence
 
 from .checker import CheckResult
 from .errors import MappingError, ParseError
@@ -258,9 +258,9 @@ def parse_mapping(text: str, model: Mvn) -> AbstractionMapping:
             ename, _, body = part.partition(":")
             ename = ename.strip()
             if ename not in {e.name for e in model.entities}:
-                raise MappingError(f"unknown entity {ename}")
+                raise MappingError(f"unknown entity {ename}", lineno)
             if ename in clauses:
-                raise MappingError(f"entity {ename} has more than one clause")
+                raise MappingError(f"entity {ename} has more than one clause", lineno)
             clauses[ename] = (lineno, body.strip())
 
     slots: list[StateMapping | None] = []
@@ -282,7 +282,7 @@ def parse_mapping(text: str, model: Mvn) -> AbstractionMapping:
                 )
             src, dst = int(m.group(1)), int(m.group(2))
             if src in pairs:
-                raise MappingError(f"entity {e.name}: level {src} mapped twice")
+                raise MappingError(f"entity {e.name}: level {src} mapped twice", lineno)
             pairs[src] = dst
         missing = set(range(e.max_level + 1)) - set(pairs)
         extra = set(pairs) - set(range(e.max_level + 1))
@@ -290,7 +290,8 @@ def parse_mapping(text: str, model: Mvn) -> AbstractionMapping:
             raise MappingError(
                 f"entity {e.name}: mapping is not total on 0..{e.max_level}"
                 + (f" (missing {sorted(missing)})" if missing else "")
-                + (f" (outside range: {sorted(extra)})" if extra else "")
+                + (f" (outside range: {sorted(extra)})" if extra else ""),
+                lineno,
             )
         slots.append(StateMapping(i, tuple(pairs[l] for l in range(e.max_level + 1))))
 
@@ -314,9 +315,7 @@ def serialize_mapping(phi: AbstractionMapping, model: Mvn) -> str:
 
 def state_label(state: GlobalState, wide: bool = False) -> str:
     """Digit-string label for a state; dot-separated when levels exceed 9."""
-    if wide:
-        return ".".join(str(v) for v in state)
-    return "".join(str(v) for v in state)
+    return ("." if wide else "").join(map(str, state))
 
 
 def state_labeler(max_levels) -> Callable[[GlobalState], str]:
@@ -325,15 +324,36 @@ def state_labeler(max_levels) -> Callable[[GlobalState], str]:
     return lambda state: state_label(state, wide)
 
 
+def state_labels(max_levels: Sequence[int], names: Sequence[str] | None = None) -> list[str]:
+    """The label of every state of a space, in index order.
+
+    Without ``names`` a label is :func:`state_label` under
+    :func:`state_labeler`'s choice of separator; with them it is
+    ``name=level`` per entity, joined by commas.  Built one entity at a
+    time, each label so far extended by each level's text, as the node
+    numbering itself is, so no state tuple is made.
+    """
+    if names is None:
+        sep = "." if any(m > 9 for m in max_levels) else ""
+        parts = [[str(v) for v in range(m + 1)] for m in max_levels]
+    else:
+        sep = ","
+        parts = [[f"{name}={v}" for v in range(m + 1)] for name, m in zip(names, max_levels)]
+    labels = parts[0]
+    for part in parts[1:]:
+        part = [sep + text for text in part]
+        labels = [a + b for a in labels for b in part]
+    return labels
+
+
 def export_dot(graph: StateGraph) -> str:
     """Deterministic DOT text: nodes then edges, both in lexicographic order."""
-    # The last node of the whole lexicographic state space is the max levels.
-    label = state_labeler(graph.nodes[-1])
-    labels = [f'"{label(s)}"' for s in graph.nodes]
+    labels = [f'"{text}"' for text in state_labels(graph.nodes.max_levels)]
+    ends = [f"{text};" for text in labels]
     out = [f'digraph "{graph.name}_{graph.semantics}" {{']
-    out.extend(f"  {text};" for text in labels)
-    for u, vs in enumerate(graph.out):
-        out.extend(f"  {labels[u]} -> {labels[v]};" for v in vs)
+    out.extend(map("  ".__add__, ends))
+    for text, vs in zip(labels, graph.out):
+        out.extend(map(f"  {text} -> ".__add__, map(ends.__getitem__, vs)))
     out.append("}")
     return "\n".join(out) + "\n"
 

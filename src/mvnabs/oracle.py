@@ -13,7 +13,9 @@ the forward decider :func:`~mvnabs.checker.forward_holds`, which is
 exact for infinite trace sets too but shares ``checker._Context`` with
 the checker; the oracle stays the independent check where supported.
 The reachability and attractor suites read each graph's SCCs and
-images under ``phi``; neither searches from a concrete state.
+images under ``phi``; neither searches from a concrete state.  The
+reachability suite takes its images from
+:func:`~mvnabs.abstraction.image_index`, as the checker does.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .abstraction import (
     StateMapping,
     abstract_trace_set,
     enumerate_candidates,
+    image_index,
     require_mapping_fits,
     require_same_structure,
 )
@@ -240,7 +243,7 @@ def reachability_soundness_suite(
     g1 = build_state_graph(mv1, ASYNC)
     g2 = build_state_graph(mv2, ASYNC)
     reach = _reached(g1, [1 << a for a in range(len(g1.nodes))])
-    images = [g1.index(phi.apply(s)) for s in g2.nodes]
+    images = image_index(phi)
     realised = [0] * len(g1.nodes)  # the images reached from each class
     for a, bits in zip(images, _reached(g2, [1 << a for a in images])):
         realised[a] |= bits

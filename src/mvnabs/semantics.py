@@ -28,11 +28,14 @@ graph holds, for every node, the sorted tuple of its successor indices
 (``StateGraph.out``).  An asynchronous step of entity ``i`` from level
 ``a`` to ``b`` goes from node ``k`` to ``k + (b - a) * place[i]``, where
 ``place[i]`` is the product of the range sizes of the entities after
-``i``; a synchronous step goes to the index of the row of next levels.
-States become tuples again only where they leave the module: ``nodes``,
-the ``succ`` view, attractors, components, reachable sets and paths.
-:meth:`StateGraph.index` is the one encoder, and it rejects states
-outside the space.
+``i``; a synchronous step goes to the index of the row of next levels,
+and the nodes with one successor share its 1-tuple.  ``nodes`` is not
+a tuple of states but a :class:`StateSpace`, which decodes an index on
+demand from two tables of half states, so a graph holds no tuple per
+state.  States become tuples only where they leave the module: the
+``succ`` view, attractors, components, reachable sets and paths, each
+decoded in bulk by :meth:`StateSpace.decode`.  :meth:`StateSpace.index`
+is the one encoder, and it rejects states outside the space.
 
 Attractors are the long-run behaviours: under synchronous updates the
 unique cycles that iteration eventually enters; under asynchronous
@@ -53,24 +56,26 @@ back from it.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count, product, repeat
 from operator import add, itemgetter, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import StateSpaceTooLargeError
-from .model import GlobalState, Mvn, iter_states, require_valid, state_space_size
+from .model import GlobalState, Mvn, require_valid, state_space_size
 
 SYNC = "sync"
 ASYNC = "async"
 
 # The state budget of graph construction.  An asynchronous build peaks
-# at about 470 bytes per state and keeps about 290; a synchronous one
-# peaks at about 270 and keeps about 230 (tracemalloc, 12 ternary
-# entities of fan-in 2, 8.1 asynchronous successors per state).  So a
-# graph at the budget peaks near 0.5 GB.  3**12 = 531,441 states fit.
+# at about 310 bytes per state and keeps about 145; a synchronous one
+# peaks at about 90 and keeps about 10, one pointer per state plus the
+# shared 1-tuples (tracemalloc, 12 ternary entities of fan-in 2, 8.0
+# asynchronous successors per state).  ``nodes`` keeps no tuple per
+# state.  So a graph at the budget peaks near 0.33 GB.  3**12 = 531,441
+# states fit.
 MAX_STATES = 1 << 20
 
 
@@ -130,6 +135,83 @@ def async_next(model: Mvn, state: GlobalState) -> frozenset[GlobalState]:
     return frozenset(_moves(state, sync_step(model, state)))
 
 
+def _levels(max_level: int) -> range:
+    return range(max_level + 1)
+
+
+class StateSpace(Sequence):
+    """Every state of one state space, in index order, decoded on demand.
+
+    The first half of the entities and the rest each have their states
+    listed once, so ``space[k]`` is ``high[k // len(low)] + low[k %
+    len(low)]``: a space of ``n`` states keeps about ``2 * sqrt(n)``
+    tuples.  Iteration is :func:`itertools.product`, the fastest way to
+    list every state, and :meth:`decode` lists the states of many
+    indices at once.  Two spaces are equal when their max levels are.
+    """
+
+    __slots__ = ("max_levels", "_high", "_low", "_size")
+
+    def __init__(self, max_levels: Sequence[int]):
+        self.max_levels = tuple(max_levels)
+        half = len(self.max_levels) // 2
+        self._high = list(product(*map(_levels, self.max_levels[:half])))
+        self._low = list(product(*map(_levels, self.max_levels[half:])))
+        self._size = len(self._high) * len(self._low)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, k: int) -> GlobalState:
+        if k < 0:
+            k += self._size
+        if not 0 <= k < self._size:
+            raise IndexError(f"state index {k} out of range")
+        high, low = divmod(k, len(self._low))
+        return self._high[high] + self._low[low]
+
+    def __iter__(self) -> Iterator[GlobalState]:
+        return product(*map(_levels, self.max_levels))
+
+    def __contains__(self, state: object) -> bool:
+        try:
+            self.index(state)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            return False
+        return True
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StateSpace):
+            return NotImplemented
+        return self.max_levels == other.max_levels
+
+    def __hash__(self) -> int:
+        return hash(self.max_levels)
+
+    def __repr__(self) -> str:
+        return f"StateSpace({self.max_levels})"
+
+    def decode(self, indices: Iterable[int]) -> list[GlobalState]:
+        """The states of ``indices``, which must lie in ``range(len(self))``."""
+        high, low, width = self._high, self._low, len(self._low)
+        return [high[k // width] + low[k % width] for k in indices]
+
+    def index(self, state: GlobalState) -> int:  # type: ignore[override]
+        """The index of ``state``: its mixed-radix number.
+
+        Raises :class:`ValueError` unless ``state`` has one level per
+        entity, each within the entity's range.
+        """
+        if len(state) != len(self.max_levels):
+            raise ValueError(f"state {state} does not have {len(self.max_levels)} levels")
+        k = 0
+        for level, max_level in zip(state, self.max_levels):
+            if not 0 <= level <= max_level:
+                raise ValueError(f"state {state} is outside the state space")
+            k = k * (max_level + 1) + level
+        return k
+
+
 @dataclass(frozen=True)
 class StateGraph:
     """Explicit state graph of a model under one update discipline.
@@ -143,24 +225,12 @@ class StateGraph:
 
     name: str
     semantics: str
-    nodes: tuple[GlobalState, ...]
+    nodes: StateSpace
     out: tuple[tuple[int, ...], ...]
 
     def index(self, state: GlobalState) -> int:
-        """The node index of ``state``: its mixed-radix number.
-
-        Raises :class:`ValueError` unless ``state`` has one level per
-        entity, each within the entity's range.
-        """
-        top = self.nodes[-1]  # the last state of the space: every max level
-        if len(state) != len(top):
-            raise ValueError(f"state {state} does not have {len(top)} levels")
-        k = 0
-        for level, max_level in zip(state, top):
-            if not 0 <= level <= max_level:
-                raise ValueError(f"state {state} is outside the state space")
-            k = k * (max_level + 1) + level
-        return k
+        """The node index of ``state`` (:meth:`StateSpace.index`)."""
+        return self.nodes.index(state)
 
     @property
     def succ(self) -> Mapping[GlobalState, tuple[GlobalState, ...]]:
@@ -178,7 +248,7 @@ class StateGraph:
         return _tarjan(self.out)
 
     def edges(self) -> Iterator[tuple[GlobalState, GlobalState]]:
-        nodes = self.nodes
+        nodes = list(self.nodes)
         for u, vs in enumerate(self.out):
             for v in vs:
                 yield (nodes[u], nodes[v])
@@ -203,7 +273,7 @@ class _Successors(Mapping):
             k = graph.index(state)
         except (TypeError, ValueError):
             raise KeyError(state) from None
-        return tuple(map(graph.nodes.__getitem__, graph.out[k]))
+        return tuple(graph.nodes.decode(graph.out[k]))
 
     def __len__(self) -> int:
         return len(self._graph.nodes)
@@ -245,7 +315,7 @@ def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
     if semantics not in (SYNC, ASYNC):
         raise ValueError(f"unknown semantics {semantics!r} (use {SYNC!r} or {ASYNC!r})")
     size = require_state_budget(model)
-    nodes = tuple(iter_states(model))
+    nodes = StateSpace(model.max_levels)
     places = place_values(model.max_levels)
     # Entity j's levels over one period: each held for place[j] states.
     blocks = [
@@ -259,7 +329,9 @@ def build_state_graph(model: Mvn, semantics: str) -> StateGraph:
         row = [0]
         for nxt, place in sorted(zip(columns, places), key=lambda c: len(c[0])):
             row = list(map(add, _tile(row, len(nxt)), map(mul, nxt, repeat(place))))
-        out = tuple(zip(_tile(row, size)))
+        # One 1-tuple per distinct successor, shared by its predecessors.
+        single = {k: (k,) for k in row}
+        out = tuple(_tile(list(map(single.__getitem__, row)), size))
     else:
         moves = []
         for block, nxt, place, nb in zip(blocks, columns, places, model.neighbourhoods):
@@ -375,12 +447,12 @@ def strongly_connected_components(graph: StateGraph) -> list[list[GlobalState]]:
     topological order of the condensation.  Callers that need a stable
     order should sort the result.
     """
-    nodes = graph.nodes
-    return [[nodes[k] for k in comp] for comp in graph.components]
+    states = list(graph.nodes)  # every state is in one component
+    return [list(map(states.__getitem__, comp)) for comp in graph.components]
 
 
 def _states(graph: StateGraph, nodes: Iterable[int]) -> frozenset[GlobalState]:
-    return frozenset(map(graph.nodes.__getitem__, nodes))
+    return frozenset(graph.nodes.decode(nodes))
 
 
 def attractors(graph: StateGraph) -> AttractorSet:
@@ -452,7 +524,7 @@ def reachable(
     parents: dict[int, int | None] = {s: None}
     for v in bfs(parents, graph.out.__getitem__):
         if v == t:
-            return True, tuple(map(graph.nodes.__getitem__, path_to(parents, v)))
+            return True, tuple(graph.nodes.decode(path_to(parents, v)))
     return False, None
 
 

@@ -179,7 +179,7 @@ def _lassos(graph: StateGraph) -> TraceSet:
     canonical: its loop lists distinct states, so it is primitive, and
     a prepended state lies off the loop, so the prefix is minimal.
     """
-    nodes, out = graph.nodes, graph.out
+    nodes, out = list(graph.nodes), graph.out  # every state is in a lasso
     runs: list[list[LassoTrace]] = [[]] * len(out)  # each entry set once
     for comp in graph.components:
         u = comp[0]

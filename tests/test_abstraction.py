@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvnabs import (
+    ASYNC,
     AbstractionMapping,
     TooManyCandidatesError,
     LassoTrace,
@@ -17,8 +18,10 @@ from mvnabs import (
     abstract_trace,
     abstract_trace_set,
     async_traces,
+    build_state_graph,
     check_sync_abstraction,
     enumerate_candidates,
+    image_index,
     iter_states,
     parse_mapping,
     parse_model,
@@ -26,6 +29,7 @@ from mvnabs import (
     sync_traces,
 )
 from mvnabs import abstraction
+from mvnabs import fixtures
 from mvnabs.fixtures import APL2_SOURCE
 from mvnabs.oracle import random_mapping, random_model
 
@@ -237,3 +241,21 @@ def test_abstract_trace_commutes_with_unrolling(seed):
         assert tuple(merged) == a.unfold(len(merged))
         seq = a.prefix + a.loop
         assert all(x != y for x, y in zip(seq, seq[1:]))
+
+
+def _instances():
+    yield fixtures.pl2(), fixtures.rho_cro()
+    yield fixtures.mtrp(), fixtures.phi_trp()
+    rng = random.Random(7)
+    for _ in range(200):
+        model = random_model(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonMonotoneMappingWarning)
+            yield model, random_mapping(rng, model)
+
+
+def test_image_index_is_the_image_of_every_node():
+    for mv2, phi in _instances():
+        g1 = build_state_graph(enumerate_candidates(mv2, phi).models[0], ASYNC)
+        g2 = build_state_graph(mv2, ASYNC)
+        assert image_index(phi) == [g1.index(phi.apply(s)) for s in g2.nodes]

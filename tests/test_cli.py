@@ -1,9 +1,16 @@
 import json
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from mvnabs import abstraction, cli, fixtures, semantics, traces
 from mvnabs.cli import main
+from mvnabs.errors import NonMonotoneMappingWarning
+from mvnabs.model import iter_states
+from mvnabs.modelio import export_dot, parse_mapping, parse_model
+from perfbench import workloads
 from tests.test_abstraction import MANY_CHOICES_MAP, MANY_CHOICES_SOURCE
 from tests.test_semantics import HUGE_SOURCE
 from tests.test_traces import BRANCHY_SOURCE
@@ -365,10 +372,10 @@ def test_state_budget_exits_2(tmp_path, monkeypatch, capsys):
     huge = tmp_path / "huge.mvn"
     huge.write_text(HUGE_SOURCE, encoding="utf-8")
 
-    def enumerate_states(model):
+    def enumerate_states(*args):
         raise AssertionError("the state space was enumerated")
 
-    monkeypatch.setattr(semantics, "iter_states", enumerate_states)
+    monkeypatch.setattr(semantics, "StateSpace", enumerate_states)
     assert main(["graph", str(huge), "--dot", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -387,10 +394,10 @@ def test_abstract_states_budget_exits_2(tmp_path, monkeypatch, capsys):
         encoding="utf-8",
     )
 
-    def enumerate_states(model):
+    def enumerate_states(*args):
         raise AssertionError("the state space was enumerated")
 
-    monkeypatch.setattr(cli, "iter_states", enumerate_states)
+    monkeypatch.setattr(cli, "state_labels", enumerate_states)
     assert main(["abstract", str(huge), str(mapping), "--states"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -485,3 +492,90 @@ def test_fuzz_negative_count_exits_2(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--count: must be 0 or more" in captured.err
+
+
+def _per_state_label(model, max_levels, named):
+    """One state's label, formatted state by state."""
+    if named:
+        return lambda s: ",".join(f"{e.name}={s[i]}" for i, e in enumerate(model.entities))
+    sep = "." if any(m > 9 for m in max_levels) else ""
+    return lambda s: sep.join(str(v) for v in s)
+
+
+def per_state_abstract_states(model, phi, named):
+    """``abstract --states`` computed state by state through ``phi.apply``."""
+    source = _per_state_label(model, model.max_levels, named)
+    target = _per_state_label(model, phi.target_max_levels, named)
+    return "".join(f"{source(s)} -> {target(phi.apply(s))}\n" for s in iter_states(model))
+
+
+def per_state_dot(graph, model):
+    """``export_dot`` computed from one label per state tuple."""
+    label = _per_state_label(model, model.max_levels, False)
+    labels = [f'"{label(s)}"' for s in iter_states(model)]
+    lines = [f'digraph "{graph.name}_{graph.semantics}" {{']
+    lines.extend(f"  {text};" for text in labels)
+    for u, vs in enumerate(graph.out):
+        lines.extend(f"  {labels[u]} -> {labels[v]};" for v in vs)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def listing_cases(tmp_path_factory):
+    """(model, mapping) paths: the fixtures, a model with 12-level
+    entities, and the three seeded 8-entity nets of the benchmark's CLI
+    part (seed 1)."""
+    root = tmp_path_factory.mktemp("listings")
+    cases = []
+    for name, model, mapping in [
+        ("pl2", fixtures.PL2_SOURCE, fixtures.RHO_CRO_SOURCE),
+        ("mtrp", fixtures.MTRP_SOURCE, fixtures.PHI_TRP_SOURCE),
+        ("big", BIG_SOURCE, BIG_MAP),
+    ]:
+        (root / f"{name}.mvn").write_text(model, encoding="utf-8")
+        (root / f"{name}.map").write_text(mapping, encoding="utf-8")
+        cases.append((str(root / f"{name}.mvn"), str(root / f"{name}.map")))
+    items = workloads.Cli().setup(SimpleNamespace(fixtures=fixtures), 1, workloads.Cli.sizes, root)
+    nets = [argv[1:3] for argv, _, _ in items if argv[0] == "abstract" and "--states" in argv[1:]]
+    nets = [pair for pair in nets if "net" in Path(pair[0]).name]
+    assert len(nets) == 3
+    return cases + nets
+
+
+@pytest.mark.parametrize("named", [False, True])
+def test_abstract_states_matches_per_state_listing(listing_cases, capsys, named):
+    for model_path, map_path in listing_cases:
+        model = parse_model(Path(model_path).read_text(encoding="utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonMonotoneMappingWarning)
+            phi = parse_mapping(Path(map_path).read_text(encoding="utf-8"), model)
+        argv = ["abstract", model_path, map_path, "--states"] + ["--labels"] * named
+        assert main(argv) == 0
+        assert capsys.readouterr().out == per_state_abstract_states(model, phi, named)
+
+
+def test_dot_matches_per_state_listing(listing_cases, capsys):
+    for model_path, _ in listing_cases:
+        model = parse_model(Path(model_path).read_text(encoding="utf-8"))
+        for discipline in (semantics.ASYNC, semantics.SYNC):
+            graph = semantics.build_state_graph(model, discipline)
+            expected = per_state_dot(graph, model)
+            assert export_dot(graph) == expected
+            assert main(["graph", model_path, "--semantics", discipline, "--dot", "-"]) == 0
+            assert capsys.readouterr().out == expected
+
+
+def test_parser_is_built_once_and_dispatch_reads_the_module(files, monkeypatch, capsys):
+    assert main(["validate", files["PL2.mvn"]]) == 0
+    assert cli._parser() is cli._parser()
+    seen = []
+
+    def replaced(args):
+        seen.append(args.model)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_validate", replaced)
+    assert main(["validate", files["MTRP.mvn"]]) == 0
+    assert seen == [files["MTRP.mvn"]]
+    assert "ok" in capsys.readouterr().out  # only from the first call

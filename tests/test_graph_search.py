@@ -114,7 +114,7 @@ def test_state_indices_and_successors(seed):
     model = network(seed)
     for discipline in (ASYNC, SYNC):
         graph = build_state_graph(model, discipline)
-        assert graph.nodes == tuple(
+        assert tuple(graph.nodes) == tuple(
             itertools.product(*(range(m + 1) for m in model.max_levels))
         )
         assert [graph.index(s) for s in graph.nodes] == list(range(len(graph.nodes)))

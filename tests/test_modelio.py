@@ -115,7 +115,11 @@ ONE = "mvn X\nentity A : 0..1\nneighbourhood A = [A]\ntable A:\n"
         (ONE + "  0 1 -> 1\n", "entity A: row has 2 input columns, expected 1", 5),
         (ONE + "  0 -> 1\n  1 -> 2\n", "entity A: output level 2 outside 0..1", 6),
         (ONE + "  2 -> 0\n", "entity A: input level 2 outside A's range 0..1", 5),
-        ("A: 0->0, 0->1, 1->1, 2->1", "entity A: level 0 mapped twice", None),
+        ("A: 0->0, 0->1, 1->1, 2->1", "entity A: level 0 mapped twice", 1),
+        ("\nB: identity", "unknown entity B", 2),
+        ("A: identity\n# two\nA: identity", "entity A has more than one clause", 3),
+        ("A: identity; A: identity", "entity A has more than one clause", 1),
+        ("\n\nA: 0->0, 1->1", "entity A: mapping is not total on 0..2 (missing [2])", 3),
     ],
 )
 def test_parse_error_message_and_line(document, message, line):

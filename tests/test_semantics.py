@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -237,10 +238,10 @@ def test_state_budget_is_checked_before_building(monkeypatch):
     assert state_space_size(model) == 16**15
     assert 3**12 <= semantics.MAX_STATES < 16**15
 
-    def enumerate_states(model):
+    def enumerate_states(*args):
         raise AssertionError("the state space was enumerated")
 
-    monkeypatch.setattr(semantics, "iter_states", enumerate_states)
+    monkeypatch.setattr(semantics, "StateSpace", enumerate_states)
     for discipline in (ASYNC, SYNC):
         with pytest.raises(StateSpaceTooLargeError, match="HUGE: 1152921504606846976 states"):
             build_state_graph(model, discipline)
@@ -303,3 +304,39 @@ def test_attractor_invariants(seed):
         if a.terminal:
             for u in a.states:
                 assert set(graph.succ[u]) <= a.states
+
+
+@pytest.mark.parametrize("max_levels", [(1,), (2, 2), (12, 1, 2), (1, 2, 3, 4), (2,) * 7])
+def test_state_space_decodes_every_index(max_levels):
+    space = semantics.StateSpace(max_levels)
+    states = list(itertools.product(*(range(m + 1) for m in max_levels)))
+    n = len(states)
+    assert len(space) == n
+    assert list(space) == states
+    assert [space[k] for k in range(n)] == states
+    assert [space[-k] for k in range(1, n + 1)] == states[::-1]
+    assert space.decode(reversed(range(n))) == states[::-1]
+    assert [space.index(space[k]) for k in range(n)] == list(range(n))
+    for k in (n, n + 1, -n - 1):
+        with pytest.raises(IndexError):
+            space[k]
+    assert states[-1] in space
+    assert tuple(m + 1 for m in max_levels) not in space
+    assert space == semantics.StateSpace(list(max_levels))
+    assert hash(space) == hash(semantics.StateSpace(max_levels))
+    assert space != semantics.StateSpace(max_levels + (1,))
+    assert space != tuple(states)
+
+
+@pytest.mark.parametrize("discipline", [ASYNC, SYNC])
+def test_equal_builds_compare_equal(discipline):
+    model = random_model(random.Random(3))
+    first, second = build_state_graph(model, discipline), build_state_graph(model, discipline)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first.nodes == second.nodes and first.nodes is not second.nodes
+
+
+def test_sync_build_shares_one_tuple_per_successor(mtrp):
+    graph = build_state_graph(mtrp, SYNC)
+    assert len({id(vs) for vs in graph.out}) == len(set(graph.out)) < len(graph.out)
