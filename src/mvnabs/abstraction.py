@@ -193,7 +193,8 @@ def require_source_fits(phi: AbstractionMapping, model: Mvn) -> None:
 
 
 def require_mapping_fits(phi: AbstractionMapping, mv1: Mvn, mv2: Mvn) -> None:
-    """``phi`` must map ``mv2``'s state space onto ``mv1``'s."""
+    """Same structure first, then ``phi`` must map ``mv2``'s states onto ``mv1``'s."""
+    require_same_structure(mv1, mv2)
     require_source_fits(phi, mv2)
     if not phi.fits_target(mv1):
         raise MappingMismatchError(
@@ -246,7 +247,6 @@ def check_sync_abstraction(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
     every trace of ``mv1`` must appear among the abstracted traces of
     ``mv2``.
     """
-    require_same_structure(mv1, mv2)
     require_mapping_fits(phi, mv1, mv2)
     return sync_traces(mv1) <= abstract_trace_set(phi, sync_traces(mv2))
 

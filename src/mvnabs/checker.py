@@ -99,7 +99,6 @@ from .abstraction import (
     AbstractionMapping,
     image_index,
     require_mapping_fits,
-    require_same_structure,
     require_source_fits,
 )
 from .errors import ClassTooLargeError, GammaOutOfClassError, NotClosedError
@@ -241,7 +240,6 @@ class _Context:
     """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
-        require_same_structure(mv1, mv2)
         require_mapping_fits(phi, mv1, mv2)
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
@@ -665,7 +663,6 @@ def witness_path(
     if not gamma_path:
         raise ValueError("the abstract path must contain at least one state")
     family.check_closed()
-    require_same_structure(family.mv1, family.mv2)
     require_mapping_fits(family.phi, family.mv1, family.mv2)
     g1 = build_state_graph(family.mv1, ASYNC)
     g2 = build_state_graph(family.mv2, ASYNC)

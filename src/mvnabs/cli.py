@@ -22,9 +22,9 @@ from .model import validate
 from .modelio import (
     export_dot,
     export_report,
-    ordered_lassos,
     parse_mapping,
     parse_model,
+    report,
     serialize_mapping,
     serialize_model,
     state_labeler,
@@ -48,12 +48,9 @@ def _load_model(path: str):
     return parse_model(_read(path))
 
 
-def _labeler(model, named: bool = False):
-    if named:
-        return lambda state: ",".join(
-            f"{e.name}={state[i]}" for i, e in enumerate(model.entities)
-        )
-    return state_labeler(model.max_levels)
+def _names(model, args):
+    """Entity names for ``--labels``, which changes text output only."""
+    return [e.name for e in model.entities] if args.labels else None
 
 
 def _count(text: str) -> int:
@@ -67,15 +64,17 @@ def _count(text: str) -> int:
     return count
 
 
-def _print_lassos(traces, label) -> None:
-    """One line per lasso, ``<prefix (loop)*>``, in a fixed order."""
-    for t in ordered_lassos(traces):
-        prefix = " ".join(label(s) for s in t.prefix)
-        if t.is_finite:
-            print(f"<{prefix}>")
+def _write_lassos(traces, args, max_levels, names) -> None:
+    """The JSON report, or one line per lasso, ``<prefix (loop)*>``."""
+    if args.json:
+        sys.stdout.write(export_report(traces, max_levels))
+        return
+    for t in report(traces, state_labeler(max_levels, names))["traces"]:
+        prefix = " ".join(t["prefix"])
+        if t["loop"]:
+            print(f"<{prefix} ({' '.join(t['loop'])})*>".replace("< ", "<"))
         else:
-            loop = " ".join(label(s) for s in t.loop)
-            print(f"<{prefix} ({loop})*>".replace("< ", "<"))
+            print(f"<{prefix}>")
 
 
 def cmd_validate(args) -> int:
@@ -107,21 +106,16 @@ def cmd_attractors(args) -> int:
     if args.json:
         sys.stdout.write(export_report(result, model.max_levels))
         return OK
-    label = _labeler(model, args.labels)
-    for a in result.attractors:
-        states = " ".join(label(s) for s in sorted(a.states))
-        extra = "" if a.terminal else " (has exits)"
-        print(f"{a.kind}: {{{states}}}{extra}")
+    label = state_labeler(model.max_levels, _names(model, args))
+    for a in report(result, label)["attractors"]:
+        extra = "" if a["terminal"] else " (has exits)"
+        print(f"{a['kind']}: {{{' '.join(a['states'])}}}{extra}")
     return OK
 
 
 def cmd_traces(args) -> int:
     model = _load_model(args.model)
-    traces = async_traces(model)
-    if args.json:
-        sys.stdout.write(export_report(traces, model.max_levels))
-        return OK
-    _print_lassos(traces, _labeler(model, args.labels))
+    _write_lassos(async_traces(model), args, model.max_levels, _names(model, args))
     return OK
 
 
@@ -132,7 +126,7 @@ def cmd_abstract(args) -> int:
     model = _load_model(args.model)
     phi = parse_mapping(_read(args.mapping), model)
     # Abstract states keep the entity names, so --labels names both sides.
-    names = [e.name for e in model.entities] if args.labels else None
+    names = _names(model, args)
     if args.states:
         require_state_budget(model)
         source = state_labels(model.max_levels, names)
@@ -140,15 +134,8 @@ def cmd_abstract(args) -> int:
         images = map(target.__getitem__, image_index(phi))
         sys.stdout.write("".join(map("{} -> {}\n".format, source, images)))
         return OK
-    if args.labels:
-        label = _labeler(model, True)
-    else:
-        label = state_labeler(phi.target_max_levels)
     image = abstract_trace_set(phi, async_traces(model))
-    if args.json:
-        sys.stdout.write(export_report(image, phi.target_max_levels))
-        return OK
-    _print_lassos(image, label)
+    _write_lassos(image, args, phi.target_max_levels, names)
     return OK
 
 
@@ -187,13 +174,12 @@ def cmd_check(args) -> int:
               f"({result.stats.iterations} iterations, "
               f"{result.stats.initial_terms} initial step terms)")
         if args.witness and result.witness is not None:
-            label, concrete = state_labeler(mv1.max_levels), state_labeler(mv2.max_levels)
-            print(f"failed at abstract state "
-                  f"{label(result.witness.state)}: {result.witness.reason}")
-            for r in result.witness.removals:
-                gamma = ",".join(concrete(s) for s in sorted(r.gamma))
-                print(f"  removed ({label(r.state)}, {{{gamma}}}) — "
-                      f"successor {label(r.failed_successor)} unrealised")
+            labelers = state_labeler(mv1.max_levels), state_labeler(mv2.max_levels)
+            witness = report(result, *labelers)["witness"]
+            print(f"failed at abstract state {witness['state']}: {witness['reason']}")
+            for r in witness["removals"]:
+                print(f"  removed ({r['state']}, {{{','.join(r['gamma'])}}}) — "
+                      f"successor {r['failed_successor']} unrealised")
     return OK if result.holds else REFUTED
 
 

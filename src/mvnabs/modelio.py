@@ -24,6 +24,10 @@ newlines or semicolons::
 
     Cro: 0->0, 1->1, 2->1
     CI: identity
+
+State labels have one format (:func:`state_labeler`), and each result
+has one labelled record (:func:`report`) that the CLI's text lines and
+:func:`export_report`'s JSON both read.
 """
 
 from __future__ import annotations
@@ -318,29 +322,31 @@ def state_label(state: GlobalState, wide: bool = False) -> str:
     return ("." if wide else "").join(map(str, state))
 
 
-def state_labeler(max_levels) -> Callable[[GlobalState], str]:
-    """Labels for one side's states: dotted when any max level exceeds 9."""
-    wide = any(m > 9 for m in max_levels)
-    return lambda state: state_label(state, wide)
+def _level_texts(max_levels, names) -> tuple[str, list[list[str]]]:
+    """The label format: a separator and each entity's level texts, either
+    digits (dot-separated when any max level exceeds 9) or ``name=level``."""
+    if names is not None:
+        return ",", [[f"{name}={v}" for v in range(m + 1)] for name, m in zip(names, max_levels)]
+    sep = "." if any(m > 9 for m in max_levels) else ""
+    return sep, [[str(v) for v in range(m + 1)] for m in max_levels]
+
+
+def state_labeler(max_levels, names=None) -> Callable[[GlobalState], str]:
+    """The label of one state of a space, from its entities' level texts."""
+    sep, texts = _level_texts(max_levels, names)
+    return lambda state: sep.join(map(list.__getitem__, texts, state))
 
 
 def state_labels(max_levels: Sequence[int], names: Sequence[str] | None = None) -> list[str]:
     """The label of every state of a space, in index order.
 
-    Without ``names`` a label is :func:`state_label` under
-    :func:`state_labeler`'s choice of separator; with them it is
-    ``name=level`` per entity, joined by commas.  Built one entity at a
-    time, each label so far extended by each level's text, as the node
+    The labels are :func:`state_labeler`'s, built one entity at a time,
+    each label so far extended by each level's text, as the node
     numbering itself is, so no state tuple is made.
     """
-    if names is None:
-        sep = "." if any(m > 9 for m in max_levels) else ""
-        parts = [[str(v) for v in range(m + 1)] for m in max_levels]
-    else:
-        sep = ","
-        parts = [[f"{name}={v}" for v in range(m + 1)] for name, m in zip(names, max_levels)]
-    labels = parts[0]
-    for part in parts[1:]:
+    sep, texts = _level_texts(max_levels, names)
+    labels = texts[0]
+    for part in texts[1:]:
         part = [sep + text for text in part]
         labels = [a + b for a in labels for b in part]
     return labels
@@ -358,29 +364,17 @@ def export_dot(graph: StateGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def ordered_lassos(traces) -> list[LassoTrace]:
-    """The output order of lassos: by state sequence, then by loop."""
-    return sorted(traces, key=lambda t: (t.prefix + t.loop, t.loop))
+def report(result, *labelers) -> dict:
+    """The labelled record of a check result, attractor set, or trace set.
 
-
-def _trace_obj(trace: LassoTrace, label) -> dict:
-    return {
-        "prefix": [label(s) for s in trace.prefix],
-        "loop": [label(s) for s in trace.loop],
-    }
-
-
-def export_report(result, *max_levels) -> str:
-    """Serialize a check result, attractor set, or trace set to JSON.
-
-    ``max_levels`` are those of each labelled side (:func:`state_labeler`):
-    the model's for attractors and traces, the abstract then the concrete
-    model's for a check result.  Key order and list order are stable
-    across runs for the same input.
+    ``labelers`` label each side's states (:func:`state_labeler`): the
+    model's for attractors and traces, the abstract then the concrete
+    model's for a check result.  Lists are in output order: states
+    sorted, lassos by state sequence, then by loop.  Text output and
+    :func:`export_report` both read this record.
     """
-    labels = [state_labeler(levels) for levels in max_levels]
     if isinstance(result, CheckResult):
-        label, concrete = labels
+        label, concrete = labelers
         obj = {
             "type": "check",
             "holds": result.holds,
@@ -410,14 +404,14 @@ def export_report(result, *max_levels) -> str:
                 ],
             }
     elif isinstance(result, AttractorSet):
-        (label,) = labels
+        (label,) = labelers
         obj = {
             "type": "attractors",
             "semantics": result.semantics,
             "attractors": [
                 {
                     "kind": a.kind,
-                    "states": [label(s) for s in sorted(a.states)],
+                    "states": list(map(label, sorted(a.states))),
                     "terminal": a.terminal,
                 }
                 for a in result.attractors
@@ -426,9 +420,23 @@ def export_report(result, *max_levels) -> str:
     elif isinstance(result, (frozenset, set, list, tuple)) and all(
         isinstance(t, LassoTrace) for t in result
     ):
-        (label,) = labels
-        traces = [_trace_obj(t, label) for t in ordered_lassos(result)]
+        (label,) = labelers
+        traces = [
+            {"prefix": list(map(label, t.prefix)), "loop": list(map(label, t.loop))}
+            for t in sorted(result, key=lambda t: (t.prefix + t.loop, t.loop))
+        ]
         obj = {"type": "traces", "traces": traces}
     else:
         raise TypeError(f"cannot export {type(result).__name__}")
+    return obj
+
+
+def export_report(result, *max_levels) -> str:
+    """:func:`report` as JSON, states labelled by :func:`state_labeler`.
+
+    ``max_levels`` are those of each labelled side, as for
+    :func:`report`.  Key order and list order are stable across runs
+    for the same input.
+    """
+    obj = report(result, *map(state_labeler, max_levels))
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

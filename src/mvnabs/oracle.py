@@ -31,7 +31,6 @@ from .abstraction import (
     enumerate_candidates,
     image_index,
     require_mapping_fits,
-    require_same_structure,
 )
 from .checker import check_asyn_abs, forward_holds
 from .errors import NonMonotoneMappingWarning, TooManyTracesError, UnsupportedError
@@ -49,7 +48,6 @@ def oracle_check(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
     infinite abstract trace set is decided without enumeration: it can
     never be included in the finite image.
     """
-    require_same_structure(mv1, mv2)
     require_mapping_fits(phi, mv1, mv2)
     g1 = build_state_graph(mv1, ASYNC)
     g2 = build_state_graph(mv2, ASYNC)
@@ -263,7 +261,6 @@ def attractor_correspondence(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> dic
     concrete attractor whose image under ``phi`` contains every abstract
     member state.
     """
-    require_same_structure(mv1, mv2)
     require_mapping_fits(phi, mv1, mv2)
     a1 = attractors(build_state_graph(mv1, ASYNC))
     a2 = attractors(build_state_graph(mv2, ASYNC))

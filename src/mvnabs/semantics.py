@@ -162,7 +162,9 @@ class StateSpace(Sequence):
     def __len__(self) -> int:
         return self._size
 
-    def __getitem__(self, k: int) -> GlobalState:
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self.decode(range(self._size)[k]))
         if k < 0:
             k += self._size
         if not 0 <= k < self._size:
@@ -200,13 +202,13 @@ class StateSpace(Sequence):
         """The index of ``state``: its mixed-radix number.
 
         Raises :class:`ValueError` unless ``state`` has one level per
-        entity, each within the entity's range.
+        entity, each an ``int`` within the entity's range.
         """
         if len(state) != len(self.max_levels):
             raise ValueError(f"state {state} does not have {len(self.max_levels)} levels")
         k = 0
         for level, max_level in zip(state, self.max_levels):
-            if not 0 <= level <= max_level:
+            if not (isinstance(level, int) and 0 <= level <= max_level):
                 raise ValueError(f"state {state} is outside the state space")
             k = k * (max_level + 1) + level
         return k

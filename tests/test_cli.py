@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import pytest
 
 from mvnabs import abstraction, cli, fixtures, semantics, traces
+from mvnabs.checker import check_asyn_abs
 from mvnabs.cli import main
 from mvnabs.errors import NonMonotoneMappingWarning
 from mvnabs.model import iter_states
-from mvnabs.modelio import export_dot, parse_mapping, parse_model
+from mvnabs.modelio import export_dot, parse_mapping, parse_model, serialize_model
 from perfbench import workloads
 from tests.test_abstraction import MANY_CHOICES_MAP, MANY_CHOICES_SOURCE
 from tests.test_semantics import HUGE_SOURCE
@@ -565,6 +566,175 @@ def test_dot_matches_per_state_listing(listing_cases, capsys):
             assert main(["graph", model_path, "--semantics", discipline, "--dot", "-"]) == 0
             assert capsys.readouterr().out == expected
 
+
+
+def _as_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def per_state_attractors(model, discipline, named, as_json):
+    """``attractors`` output, each attractor's states sorted and labelled
+    one by one; JSON keeps digit labels under ``--labels``."""
+    result = semantics.attractors(semantics.build_state_graph(model, discipline))
+    label = _per_state_label(model, model.max_levels, named and not as_json)
+    if as_json:
+        return _as_json({
+            "type": "attractors",
+            "semantics": discipline,
+            "attractors": [
+                {"kind": a.kind, "states": [label(s) for s in sorted(a.states)],
+                 "terminal": a.terminal}
+                for a in result.attractors
+            ],
+        })
+    lines = []
+    for a in result.attractors:
+        states = " ".join(label(s) for s in sorted(a.states))
+        lines.append(f"{a.kind}: {{{states}}}" + ("" if a.terminal else " (has exits)"))
+    return "".join(line + "\n" for line in lines)
+
+
+def per_state_lassos(lassos, model, max_levels, named, as_json):
+    """``traces`` and ``abstract --traces`` output: lassos by state
+    sequence, then by loop, each state labelled one by one."""
+    label = _per_state_label(model, max_levels, named and not as_json)
+    ordered = sorted(lassos, key=lambda t: (t.prefix + t.loop, t.loop))
+    if as_json:
+        return _as_json({"type": "traces", "traces": [
+            {"prefix": [label(s) for s in t.prefix], "loop": [label(s) for s in t.loop]}
+            for t in ordered
+        ]})
+    lines = []
+    for t in ordered:
+        prefix = " ".join(label(s) for s in t.prefix)
+        if t.is_finite:
+            lines.append(f"<{prefix}>")
+        else:
+            loop = " ".join(label(s) for s in t.loop)
+            lines.append(f"<{prefix} ({loop})*>".replace("< ", "<"))
+    return "".join(line + "\n" for line in lines)
+
+
+def per_state_check(mv1, mv2, phi, witness, as_json):
+    """``check`` output, the witness's states labelled one by one."""
+    result = check_asyn_abs(mv1, mv2, phi)
+    label = _per_state_label(mv1, mv1.max_levels, False)
+    concrete = _per_state_label(mv2, mv2.max_levels, False)
+    w = result.witness
+    if as_json:
+        stats = result.stats
+        return _as_json({
+            "type": "check", "holds": result.holds, "iterations": stats.iterations,
+            "abstract_states": stats.abstract_states, "max_class_size": stats.max_class_size,
+            "initial_terms": stats.initial_terms, "removed_terms": stats.removed_terms,
+            "surviving_terms": {label(s): n for s, n in stats.surviving_terms.items()},
+            "witness": None if w is None else {
+                "state": label(w.state),
+                "reason": w.reason,
+                "removals": [
+                    {"state": label(r.state), "gamma": [concrete(s) for s in sorted(r.gamma)],
+                     "failed_successor": label(r.failed_successor),
+                     "missing_gamma": [concrete(s) for s in sorted(r.missing_gamma)]}
+                    for r in w.removals
+                ],
+            },
+        })
+    lines = [f"{mv1.name} abstracts {mv2.name}: {'holds' if result.holds else 'refuted'} "
+             f"({result.stats.iterations} iterations, "
+             f"{result.stats.initial_terms} initial step terms)"]
+    if witness and w is not None:
+        lines.append(f"failed at abstract state {label(w.state)}: {w.reason}")
+        for r in w.removals:
+            gamma = ",".join(concrete(s) for s in sorted(r.gamma))
+            lines.append(f"  removed ({label(r.state)}, {{{gamma}}}) — "
+                         f"successor {label(r.failed_successor)} unrealised")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def report_files(tmp_path_factory):
+    """Paths of the fixtures, ``BIG_SOURCE``, ``ABIG_SOURCE`` and the
+    four MTRP candidates under the tryptophan mapping."""
+    root = tmp_path_factory.mktemp("reports")
+    texts = {
+        "PL2.mvn": fixtures.PL2_SOURCE, "APL2.mvn": fixtures.APL2_SOURCE,
+        "MTRP.mvn": fixtures.MTRP_SOURCE, "ATRP.mvn": fixtures.ATRP_SOURCE,
+        "BIG.mvn": BIG_SOURCE, "ABIG.mvn": ABIG_SOURCE,
+        "cro.map": fixtures.RHO_CRO_SOURCE, "trp.map": fixtures.PHI_TRP_SOURCE,
+        "big.map": BIG_MAP,
+    }
+    candidates = abstraction.enumerate_candidates(fixtures.mtrp(), fixtures.phi_trp()).models
+    assert len(candidates) == 4
+    for k, cand in enumerate(candidates):
+        texts[f"cand{k}.mvn"] = serialize_model(cand)
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return {name: str(root / name) for name in texts}
+
+
+def _model(path):
+    return parse_model(Path(path).read_text(encoding="utf-8"))
+
+
+REPORT_MODELS = ["PL2.mvn", "APL2.mvn", "MTRP.mvn", "ATRP.mvn", "BIG.mvn",
+                 "cand0.mvn", "cand1.mvn", "cand2.mvn", "cand3.mvn"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--labels"], ["--json"], ["--json", "--labels"]])
+@pytest.mark.parametrize("discipline", [semantics.ASYNC, semantics.SYNC])
+def test_attractors_match_per_state_report(report_files, capsys, discipline, flags):
+    for name in REPORT_MODELS:
+        path = report_files[name]
+        expected = per_state_attractors(
+            _model(path), discipline, "--labels" in flags, "--json" in flags
+        )
+        assert main(["attractors", path, "--semantics", discipline] + flags) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["--labels"], ["--json"]])
+def test_traces_match_per_state_report(report_files, capsys, flags):
+    compared = 0
+    for name in REPORT_MODELS:
+        model = _model(report_files[name])
+        if not traces.trace_set_is_finite(semantics.build_state_graph(model, semantics.ASYNC)):
+            continue
+        expected = per_state_lassos(traces.async_traces(model), model, model.max_levels,
+                                    "--labels" in flags, "--json" in flags)
+        assert main(["traces", report_files[name]] + flags) == 0
+        assert capsys.readouterr().out == expected
+        compared += 1
+    assert compared == 8  # candidate 2 has infinitely many traces
+
+
+@pytest.mark.parametrize("flags", [[], ["--labels"], ["--json"]])
+def test_abstract_traces_match_per_state_report(report_files, capsys, flags):
+    for name, mapping in [("PL2.mvn", "cro.map"), ("MTRP.mvn", "trp.map"),
+                          ("BIG.mvn", "big.map")]:
+        model = _model(report_files[name])
+        phi = parse_mapping(Path(report_files[mapping]).read_text(encoding="utf-8"), model)
+        image = abstraction.abstract_trace_set(phi, traces.async_traces(model))
+        expected = per_state_lassos(image, model, phi.target_max_levels,
+                                    "--labels" in flags, "--json" in flags)
+        argv = ["abstract", report_files[name], report_files[mapping], "--traces"]
+        assert main(argv + flags) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["--witness"], ["--json"], ["--witness", "--json"]])
+def test_check_matches_per_state_report(report_files, capsys, flags):
+    triples = [("APL2.mvn", "PL2.mvn", "cro.map"), ("ATRP.mvn", "MTRP.mvn", "trp.map"),
+               ("ABIG.mvn", "BIG.mvn", "big.map")]
+    triples += [(f"cand{k}.mvn", "MTRP.mvn", "trp.map") for k in range(4)]
+    verdicts = []
+    for names in triples:
+        paths = [report_files[name] for name in names]
+        mv1, mv2 = _model(paths[0]), _model(paths[1])
+        phi = parse_mapping(Path(paths[2]).read_text(encoding="utf-8"), mv2)
+        expected = per_state_check(mv1, mv2, phi, "--witness" in flags, "--json" in flags)
+        verdicts.append(main(["check", *paths] + flags))
+        assert capsys.readouterr().out == expected
+    assert verdicts == [0, 0, 1, 0, 1, 1, 1]
 
 def test_parser_is_built_once_and_dispatch_reads_the_module(files, monkeypatch, capsys):
     assert main(["validate", files["PL2.mvn"]]) == 0

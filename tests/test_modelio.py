@@ -12,9 +12,11 @@ from mvnabs import (
     ModelValidationError,
     NonMonotoneMappingWarning,
     ParseError,
+    async_traces,
     attractors,
     build_state_graph,
     check_asyn_abs,
+    enumerate_candidates,
     export_dot,
     export_report,
     parse_mapping,
@@ -38,6 +40,7 @@ from mvnabs.fixtures import (
     pl2,
     rho_cro,
 )
+from mvnabs.modelio import report, state_labeler
 
 FIG_2B_EDGES = {
     ("00", "01"), ("00", "10"), ("11", "01"), ("11", "10"),
@@ -314,6 +317,29 @@ def test_report_stable_across_runs(mtrp, atrp, phi_trp):
     b = export_report(check_asyn_abs(atrp, mtrp, phi_trp), *levels)
     assert a == b
 
+
+
+def test_export_report_is_the_record_as_json():
+    pl2_, mtrp_, phi = pl2(), mtrp(), phi_trp()
+    results = [
+        (attractors(build_state_graph(model, discipline)), model.max_levels)
+        for model in (pl2_, mtrp_) for discipline in (ASYNC, SYNC)
+    ]
+    results += [(async_traces(model), model.max_levels) for model in (pl2_, mtrp_)]
+    results += [(frozenset({LassoTrace(((0, 12),), ())}), (1, 12))]
+    results += [
+        (check_asyn_abs(mv1, mv2, phi_), mv1.max_levels, mv2.max_levels)
+        for mv1, mv2, phi_ in [(apl2(), pl2_, rho_cro())]
+        + [(c, mtrp_, phi) for c in enumerate_candidates(mtrp_, phi).models]
+    ]
+    for r, *levels in results:
+        assert json.loads(export_report(r, *levels)) == report(r, *map(state_labeler, levels))
+
+
+def test_state_labeler_names_levels():
+    assert state_labeler((1, 2))((1, 2)) == "12"
+    assert state_labeler((1, 12))((1, 2)) == "1.2"
+    assert state_labeler((1, 12), ["A", "B"])((1, 12)) == "A=1,B=12"
 
 # The only errors a document may raise, whatever its text.
 DOCUMENT_ERRORS = (ParseError, ModelValidationError, MappingError)

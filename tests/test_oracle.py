@@ -7,12 +7,14 @@ from mvnabs import (
     ASYNC,
     MappingMismatchError,
     NonMonotoneMappingWarning,
+    StepTermFamily,
     StructureMismatchError,
     UnsupportedError,
     attractor_correspondence,
     attractors,
     build_state_graph,
     check_asyn_abs,
+    check_sync_abstraction,
     concrete_class,
     differential_suite,
     enumerate_candidates,
@@ -21,6 +23,7 @@ from mvnabs import (
     parse_mapping,
     parse_model,
     reachability_soundness_suite,
+    witness_path,
 )
 from mvnabs import oracle, semantics
 from mvnabs.cli import main
@@ -293,3 +296,19 @@ def test_attractor_correspondence_checks_the_triple(apl2, pl2, mtrp, phi_trp):
         attractor_correspondence(apl2, pl2, phi)
     with pytest.raises(StructureMismatchError):
         attractor_correspondence(apl2, mtrp, phi_trp)
+
+
+def test_structure_is_checked_before_the_mapping(atrp, pl2, rho_cro):
+    # ATRP's entities differ from PL2's, and rho_cro's target ranges
+    # differ from ATRP's: every entry point reports the structure.
+    entry_points = [
+        check_asyn_abs,
+        forward_holds,
+        oracle_check,
+        attractor_correspondence,
+        check_sync_abstraction,
+        lambda mv1, mv2, phi: witness_path(StepTermFamily(mv1, mv2, phi, {}), [(0, 0)]),
+    ]
+    for entry_point in entry_points:
+        with pytest.raises(StructureMismatchError):
+            entry_point(atrp, pl2, rho_cro)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mvnabs import (
     ASYNC,
     SYNC,
+    all_step_terms,
     async_next,
     attractors,
     build_state_graph,
@@ -340,3 +341,28 @@ def test_equal_builds_compare_equal(discipline):
 def test_sync_build_shares_one_tuple_per_successor(mtrp):
     graph = build_state_graph(mtrp, SYNC)
     assert len({id(vs) for vs in graph.out}) == len(set(graph.out)) < len(graph.out)
+
+
+@pytest.mark.parametrize("state", [(0.5, 0), (1, 2.0)])
+def test_non_integer_levels_are_outside_the_space(pl2, apl2, rho_cro, state):
+    graph = build_state_graph(pl2, ASYNC)
+    assert state not in graph.nodes
+    with pytest.raises(ValueError):
+        graph.index(state)
+    with pytest.raises(KeyError):
+        graph.succ[state]
+    with pytest.raises(ValueError):
+        reachable(graph, state, (1, 0))
+    with pytest.raises(ValueError):
+        reachable(graph, (1, 0), state)
+    with pytest.raises(ValueError):
+        reachable_set(graph, state)
+    with pytest.raises(ValueError):
+        all_step_terms(apl2, pl2, rho_cro, state)
+
+
+def test_state_space_slices_are_tuples_of_states(pl2):
+    nodes = build_state_graph(pl2, ASYNC).nodes
+    states = tuple(nodes)
+    for k in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(5, 1), slice(None)):
+        assert nodes[k] == states[k]
