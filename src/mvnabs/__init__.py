@@ -47,6 +47,8 @@ from .modelio import (
     serialize_model,
     state_label,
     state_labels,
+    write_dot,
+    write_report,
 )
 from .semantics import (
     ASYNC,

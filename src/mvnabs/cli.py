@@ -20,8 +20,6 @@ from .checker import check_asyn_abs
 from .errors import MvnError, ParseError
 from .model import validate
 from .modelio import (
-    export_dot,
-    export_report,
     parse_mapping,
     parse_model,
     report,
@@ -29,6 +27,8 @@ from .modelio import (
     serialize_model,
     state_labeler,
     state_labels,
+    write_dot,
+    write_report,
 )
 from .oracle import differential_suite, oracle_check
 from .semantics import ASYNC, SYNC, attractors, build_state_graph, require_state_budget
@@ -67,7 +67,7 @@ def _count(text: str) -> int:
 def _write_lassos(traces, args, max_levels, names) -> None:
     """The JSON report, or one line per lasso, ``<prefix (loop)*>``."""
     if args.json:
-        sys.stdout.write(export_report(traces, max_levels))
+        write_report(sys.stdout, traces, max_levels)
         return
     for t in report(traces, state_labeler(max_levels, names))["traces"]:
         prefix = " ".join(t["prefix"])
@@ -91,11 +91,11 @@ def cmd_validate(args) -> int:
 def cmd_graph(args) -> int:
     model = _load_model(args.model)
     graph = build_state_graph(model, args.semantics)
-    text = export_dot(graph)
     if args.dot == "-":
-        sys.stdout.write(text)
+        write_dot(graph, sys.stdout)
     else:
-        Path(args.dot).write_text(text, encoding="utf-8")
+        with open(args.dot, "w", encoding="utf-8") as stream:
+            write_dot(graph, stream)
         print(f"wrote {args.dot} ({len(graph.nodes)} nodes, {graph.edge_count} edges)")
     return OK
 
@@ -104,7 +104,7 @@ def cmd_attractors(args) -> int:
     model = _load_model(args.model)
     result = attractors(build_state_graph(model, args.semantics))
     if args.json:
-        sys.stdout.write(export_report(result, model.max_levels))
+        write_report(sys.stdout, result, model.max_levels)
         return OK
     label = state_labeler(model.max_levels, _names(model, args))
     for a in report(result, label)["attractors"]:
@@ -132,7 +132,7 @@ def cmd_abstract(args) -> int:
         source = state_labels(model.max_levels, names)
         target = state_labels(phi.target_max_levels, names)
         images = map(target.__getitem__, image_index(phi))
-        sys.stdout.write("".join(map("{} -> {}\n".format, source, images)))
+        sys.stdout.writelines(map("{} -> {}\n".format, source, images))
         return OK
     image = abstract_trace_set(phi, async_traces(model))
     _write_lassos(image, args, phi.target_max_levels, names)
@@ -167,7 +167,7 @@ def cmd_check(args) -> int:
     phi = parse_mapping(_read(args.mapping), mv2)
     result = check_asyn_abs(mv1, mv2, phi)
     if args.json:
-        sys.stdout.write(export_report(result, mv1.max_levels, mv2.max_levels))
+        write_report(sys.stdout, result, mv1.max_levels, mv2.max_levels)
     else:
         verdict = "holds" if result.holds else "refuted"
         print(f"{mv1.name} abstracts {mv2.name}: {verdict} "

@@ -27,15 +27,18 @@ newlines or semicolons::
 
 State labels have one format (:func:`state_labeler`), and each result
 has one labelled record (:func:`report`) that the CLI's text lines and
-:func:`export_report`'s JSON both read.
+:func:`write_report`'s JSON both read.  The DOT and JSON writers
+(:func:`write_dot`, :func:`write_report`) write to a stream, so no
+command holds its whole output.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import re
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 from .checker import CheckResult
 from .errors import MappingError, ParseError
@@ -352,16 +355,28 @@ def state_labels(max_levels: Sequence[int], names: Sequence[str] | None = None) 
     return labels
 
 
+def write_dot(graph: StateGraph, stream: TextIO) -> None:
+    """Write deterministic DOT text to ``stream``: nodes then edges, both
+    in lexicographic order.
+
+    One text per node (``"label";`` and a newline) is kept; each node's
+    edge lines are written as one chunk, so the whole text is never held.
+    """
+    ends = [f'"{text}";\n' for text in state_labels(graph.nodes.max_levels)]
+    stream.write(f'digraph "{graph.name}_{graph.semantics}" {{\n')
+    stream.writelines(map("  ".__add__, ends))
+    for end, vs in zip(ends, graph.out):
+        if vs:
+            head = f"  {end[:-2]} -> "
+            stream.write(head + head.join(map(ends.__getitem__, vs)))
+    stream.write("}\n")
+
+
 def export_dot(graph: StateGraph) -> str:
-    """Deterministic DOT text: nodes then edges, both in lexicographic order."""
-    labels = [f'"{text}"' for text in state_labels(graph.nodes.max_levels)]
-    ends = [f"{text};" for text in labels]
-    out = [f'digraph "{graph.name}_{graph.semantics}" {{']
-    out.extend(map("  ".__add__, ends))
-    for text, vs in zip(labels, graph.out):
-        out.extend(map(f"  {text} -> ".__add__, map(ends.__getitem__, vs)))
-    out.append("}")
-    return "\n".join(out) + "\n"
+    """:func:`write_dot`'s text as a string."""
+    with io.StringIO() as stream:
+        write_dot(graph, stream)
+        return stream.getvalue()
 
 
 def report(result, *labelers) -> dict:
@@ -371,7 +386,7 @@ def report(result, *labelers) -> dict:
     model's for attractors and traces, the abstract then the concrete
     model's for a check result.  Lists are in output order: states
     sorted, lassos by state sequence, then by loop.  Text output and
-    :func:`export_report` both read this record.
+    :func:`write_report` both read this record.
     """
     if isinstance(result, CheckResult):
         label, concrete = labelers
@@ -431,12 +446,21 @@ def report(result, *labelers) -> dict:
     return obj
 
 
-def export_report(result, *max_levels) -> str:
-    """:func:`report` as JSON, states labelled by :func:`state_labeler`.
+def write_report(stream: TextIO, result, *max_levels) -> None:
+    """Write :func:`report` to ``stream`` as JSON, states labelled by
+    :func:`state_labeler`.
 
     ``max_levels`` are those of each labelled side, as for
     :func:`report`.  Key order and list order are stable across runs
-    for the same input.
+    for the same input.  :func:`json.dump` encodes as :func:`json.dumps`
+    does, piece by piece, so the text is never held whole.
     """
-    obj = report(result, *map(state_labeler, max_levels))
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    json.dump(report(result, *map(state_labeler, max_levels)), stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
+def export_report(result, *max_levels) -> str:
+    """:func:`write_report`'s text as a string."""
+    with io.StringIO() as stream:
+        write_report(stream, result, *max_levels)
+        return stream.getvalue()

@@ -14,8 +14,9 @@ exact for infinite trace sets too but shares ``checker._Context`` with
 the checker; the oracle stays the independent check where supported.
 The reachability and attractor suites read each graph's SCCs and
 images under ``phi``; neither searches from a concrete state.  The
-reachability suite takes its images from
-:func:`~mvnabs.abstraction.image_index`, as the checker does.
+reachability suite reads both graphs and the images
+(:func:`~mvnabs.abstraction.image_index`) from the checker's context
+that decides its precondition, so each graph is built once.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .abstraction import (
     StateMapping,
     abstract_trace_set,
     enumerate_candidates,
-    image_index,
     require_mapping_fits,
 )
-from .checker import check_asyn_abs, forward_holds
+from .checker import _Context, check_asyn_abs, forward_holds
 from .errors import NonMonotoneMappingWarning, TooManyTracesError, UnsupportedError
 from .model import Entity, Mvn, Neighbourhood, NextStateTable
 from .modelio import serialize_mapping, serialize_model
@@ -228,20 +228,21 @@ def reachability_soundness_suite(
 ) -> dict:
     """Exhaustively check that abstract reachability is concretely realised.
 
-    Requires the abstraction to hold, as decided by
-    :func:`~mvnabs.checker.forward_holds` (exact at any class size).
-    For every ordered pair of abstract states where the second is
-    reachable from the first, there must be concrete states with the
-    matching images such that the second is reachable from the first in
-    the concrete model.  Both are bitsets over abstract node indices, so
+    Requires the abstraction to hold, as decided by the forward search
+    of :func:`~mvnabs.checker.forward_holds` (exact at any class size),
+    whose context also gives both graphs and the images.  For every
+    ordered pair of abstract states where the second is reachable from
+    the first, there must be concrete states with the matching images
+    such that the second is reachable from the first in the concrete
+    model.  Both are bitsets over abstract node indices, so
     failures come out in index order.
     """
-    if not forward_holds(mv1, mv2, phi):
+    ctx = _Context(mv1, mv2, phi)
+    if ctx.refuting_pair() is not None:
         raise ValueError("the abstraction does not hold; nothing to verify")
-    g1 = build_state_graph(mv1, ASYNC)
-    g2 = build_state_graph(mv2, ASYNC)
+    g1, g2, images = ctx.g1, ctx.g2, ctx.image_index
+    del ctx  # the search tables are not needed past the precondition
     reach = _reached(g1, [1 << a for a in range(len(g1.nodes))])
-    images = image_index(phi)
     realised = [0] * len(g1.nodes)  # the images reached from each class
     for a, bits in zip(images, _reached(g2, [1 << a for a in images])):
         realised[a] |= bits

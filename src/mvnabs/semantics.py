@@ -38,11 +38,12 @@ decoded in bulk by :meth:`StateSpace.decode`.  :meth:`StateSpace.index`
 is the one encoder, and it rejects states outside the space.
 
 Attractors are the long-run behaviours: under synchronous updates the
-unique cycles that iteration eventually enters; under asynchronous
-updates the states with no successors (point attractors) plus the
-nontrivial strongly connected components of the state graph.  Both
-kinds come from one Tarjan pass per graph, kept on the graph
-(:attr:`StateGraph.components`) and shared by every analysis of it.
+unique cycles that iteration eventually enters, read off the successor
+map by repeated squaring with no SCC pass; under asynchronous updates
+the states with no successors (point attractors) plus the nontrivial
+strongly connected components of the state graph, from one Tarjan pass
+per graph, kept on the graph (:attr:`StateGraph.components`) and
+shared by every analysis of it.
 
 State graphs are materialised explicitly, which keeps every downstream
 analysis auditable.  Time and memory grow with the number of states,
@@ -241,8 +242,8 @@ class StateGraph:
         return _Successors(self)
 
     @cached_property
-    def components(self) -> list[list[int]]:
-        """The strongly connected components as node index lists.
+    def components(self) -> list[tuple[int, ...]]:
+        """The strongly connected components as tuples of node indices.
 
         Computed by one Tarjan pass (:func:`_tarjan`) on first use and
         kept, so every analysis of the graph shares it.
@@ -388,20 +389,21 @@ class AttractorSet:
         return frozenset(out)
 
 
-def _tarjan(out: Sequence[Sequence[int]]) -> list[list[int]]:
+def _tarjan(out: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Tarjan's algorithm over index successor lists.
 
     Iterative (explicit recursion stack) so deep graphs cannot hit the
     interpreter recursion limit.  Roots are tried in index order and
     successors in list order; components come out in reverse
-    topological order of the condensation.  An emitted node is renumbered
+    topological order of the condensation, each a tuple of its members
+    in the order they leave the stack.  An emitted node is renumbered
     ``n``, so it never lowers a lowlink: no on-stack flags are kept.
     """
     n = len(out)
     index = [-1] * n
     lowlink = [0] * n
     stack: list[int] = []
-    sccs: list[list[int]] = []
+    sccs: list[tuple[int, ...]] = []
     order = count()
     # One frame per node on the depth-first path: the node and an
     # iterator over its successors not yet examined.
@@ -434,7 +436,7 @@ def _tarjan(out: Sequence[Sequence[int]]) -> list[list[int]]:
                         scc.append(top)
                         if top == node:
                             break
-                    sccs.append(scc)
+                    sccs.append(tuple(scc))
                 if work:
                     parent = work[-1][0]
                     if lowlink[node] < lowlink[parent]:
@@ -458,24 +460,67 @@ def _states(graph: StateGraph, nodes: Iterable[int]) -> frozenset[GlobalState]:
 
 
 def attractors(graph: StateGraph) -> AttractorSet:
-    """Find the attractors of a state graph in one loop over its SCCs.
+    """Find the attractors of a state graph.
 
-    A point is a one-state SCC with no successors (asynchronous) or a
-    self-loop (synchronous).  Any larger SCC is an attractor: a
-    ``"cycle"`` that synchronous iteration enters, or an asynchronous
-    ``"scc"`` whose ``terminal`` flag says whether it has no exits.
+    A synchronous graph's attractors are the cycles of its successor
+    map (:func:`_sync_cycles`), each a ``"point"`` (a self-loop) or a
+    ``"cycle"``, all terminal; no SCC pass runs.  An asynchronous
+    graph's come from one loop over its SCCs: a point is a one-state
+    SCC with no successors, and any larger SCC is an ``"scc"`` whose
+    ``terminal`` flag says whether it has no exits.
     """
+    if graph.semantics == SYNC:
+        return AttractorSet(SYNC, tuple(
+            Attractor("point" if len(cycle) == 1 else "cycle", _states(graph, cycle), True)
+            for cycle in _sync_cycles(graph.out)
+        ))
     out = graph.out
     found: list[tuple[int, Attractor]] = []  # keyed by the smallest member
     for comp in graph.components:
         u = comp[0]
-        if len(comp) > 1 or not out[u] or u in out[u]:
+        if len(comp) > 1 or not out[u]:
             members = set(comp)
             terminal = all(v in members for w in comp for v in out[w])
-            kind = "point" if len(comp) == 1 else "scc" if graph.semantics == ASYNC else "cycle"
+            kind = "point" if len(comp) == 1 else "scc"
             found.append((min(comp), Attractor(kind, _states(graph, comp), terminal)))
     found.sort(key=itemgetter(0))
     return AttractorSet(graph.semantics, tuple(a for _, a in found))
+
+
+def _sync_cycles(out: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The cycles of a successor map, ordered by smallest node, each
+    walked from its smallest node.
+
+    Precondition: every node has exactly one successor, as in every
+    synchronous graph that :func:`build_state_graph` makes.  So ``out``
+    is a map f, and the map g = f^m is squared (m doubles) until its
+    image stops shrinking.  Images only shrink, since im(g∘g) ⊆ im(g),
+    so equal sizes mean im(g∘g) = im(g): g maps its image onto itself
+    and, the image being finite, is a bijection on it.  That image is
+    exactly the set of cycle nodes.  Each x in it is g^p(x) for the
+    order p of that permutation, so x = f^(mp)(x) lies on a cycle of f.
+    Each node c of a cycle of length L is f^(mL)(c) = f^m(f^(m(L-1))(c)),
+    so it lies in the image.
+    """
+    f = [succ[0] for succ in out]
+    g, image = f, set(f)
+    while True:
+        g = list(map(g.__getitem__, g))
+        smaller = set(g)
+        if len(smaller) == len(image):
+            break
+        image = smaller
+    cycles = []
+    for start in sorted(image):
+        if start in image:
+            cycle = [start]
+            v = f[start]
+            while v != start:
+                cycle.append(v)
+                v = f[v]
+            image.difference_update(cycle)
+            cycles.append(cycle)
+    return cycles
 
 
 Node = TypeVar("Node", bound=Hashable)

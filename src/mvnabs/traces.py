@@ -38,9 +38,11 @@ from .semantics import ASYNC, SYNC, StateGraph, build_state_graph
 # keeps about 233 bytes per lasso and peaks at 258 (tracemalloc, 9
 # Boolean entities that each rise to 1: 986,410 lassos of up to 10
 # states, 3.9 s on a 2-vCPU Xeon), and longer lassos cost 8 bytes more
-# per state.  `mvnabs traces --json` peaks at about 2.3 KB per lasso
-# (the same model on 8 entities), so a trace set at the budget takes
-# near 0.6 GB there and about 70 MB in the fold.
+# per state.  `mvnabs traces` peaks at about 1.1 KB per lasso with or
+# without `--json`, in the labelled record that both forms read (the
+# same model on 8 entities: 118 MB for 23.7 MB of JSON, which is
+# streamed), so a trace set at the budget takes near 0.3 GB there and
+# about 70 MB in the fold.
 MAX_TRACES = 1 << 18
 
 

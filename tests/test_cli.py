@@ -10,7 +10,15 @@ from mvnabs.checker import check_asyn_abs
 from mvnabs.cli import main
 from mvnabs.errors import NonMonotoneMappingWarning
 from mvnabs.model import iter_states
-from mvnabs.modelio import export_dot, parse_mapping, parse_model, serialize_model
+from mvnabs.modelio import (
+    export_dot,
+    export_report,
+    parse_mapping,
+    parse_model,
+    report,
+    serialize_model,
+    state_labeler,
+)
 from perfbench import workloads
 from tests.test_abstraction import MANY_CHOICES_MAP, MANY_CHOICES_SOURCE
 from tests.test_semantics import HUGE_SOURCE
@@ -567,6 +575,22 @@ def test_dot_matches_per_state_listing(listing_cases, capsys):
             assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("discipline", [semantics.ASYNC, semantics.SYNC])
+def test_dot_file_matches_stdout_and_per_state_listing(listing_cases, tmp_path, capsys,
+                                                       discipline):
+    for k, (model_path, _) in enumerate(listing_cases):
+        model = parse_model(Path(model_path).read_text(encoding="utf-8"))
+        graph = semantics.build_state_graph(model, discipline)
+        assert main(["graph", model_path, "--semantics", discipline, "--dot", "-"]) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / f"graph{k}.dot"
+        assert main(["graph", model_path, "--semantics", discipline, "--dot", str(target)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {target} ({len(graph.nodes)} nodes, {graph.edge_count} edges)\n"
+        )
+        assert target.read_bytes() == stdout.encode("utf-8")
+        assert stdout == per_state_dot(graph, model)
+
 
 def _as_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -735,6 +759,49 @@ def test_check_matches_per_state_report(report_files, capsys, flags):
         verdicts.append(main(["check", *paths] + flags))
         assert capsys.readouterr().out == expected
     assert verdicts == [0, 0, 1, 0, 1, 1, 1]
+
+
+def joined_report(result, *max_levels):
+    """The JSON report built whole, as one string, before it was
+    written to its stream piece by piece."""
+    obj = report(result, *map(state_labeler, max_levels))
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_reports_match_the_joined_text(report_files, capsys):
+    cases = []
+    for name in REPORT_MODELS:
+        path, model = report_files[name], _model(report_files[name])
+        for discipline in (semantics.ASYNC, semantics.SYNC):
+            result = semantics.attractors(semantics.build_state_graph(model, discipline))
+            argv = ["attractors", path, "--semantics", discipline, "--json"]
+            cases.append((argv, 0, result, [model.max_levels]))
+        if traces.trace_set_is_finite(semantics.build_state_graph(model, semantics.ASYNC)):
+            cases.append((["traces", path, "--json"], 0, traces.async_traces(model),
+                          [model.max_levels]))
+    for name, mapping in [("PL2.mvn", "cro.map"), ("MTRP.mvn", "trp.map"),
+                          ("BIG.mvn", "big.map")]:
+        model = _model(report_files[name])
+        phi = parse_mapping(Path(report_files[mapping]).read_text(encoding="utf-8"), model)
+        image = abstraction.abstract_trace_set(phi, traces.async_traces(model))
+        argv = ["abstract", report_files[name], report_files[mapping], "--traces", "--json"]
+        cases.append((argv, 0, image, [phi.target_max_levels]))
+    triples = [("APL2.mvn", "PL2.mvn", "cro.map"), ("ATRP.mvn", "MTRP.mvn", "trp.map"),
+               ("ABIG.mvn", "BIG.mvn", "big.map")]
+    triples += [(f"cand{k}.mvn", "MTRP.mvn", "trp.map") for k in range(4)]
+    for names in triples:
+        paths = [report_files[name] for name in names]
+        mv1, mv2 = _model(paths[0]), _model(paths[1])
+        phi = parse_mapping(Path(paths[2]).read_text(encoding="utf-8"), mv2)
+        result = check_asyn_abs(mv1, mv2, phi)
+        cases.append((["check", *paths, "--json"], 0 if result.holds else 1, result,
+                      [mv1.max_levels, mv2.max_levels]))
+    assert len(cases) == 9 * 2 + 8 + 3 + 7
+    for argv, code, result, max_levels in cases:
+        expected = joined_report(result, *max_levels)
+        assert export_report(result, *max_levels) == expected
+        assert main(argv) == code
+        assert capsys.readouterr().out == expected
 
 def test_parser_is_built_once_and_dispatch_reads_the_module(files, monkeypatch, capsys):
     assert main(["validate", files["PL2.mvn"]]) == 0

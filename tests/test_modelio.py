@@ -1,4 +1,7 @@
+import io
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from mvnabs import (
     serialize_model,
     state_label,
     state_space_size,
+    write_dot,
 )
 from mvnabs.fixtures import (
     APL2_SOURCE,
@@ -41,6 +45,7 @@ from mvnabs.fixtures import (
     rho_cro,
 )
 from mvnabs.modelio import report, state_labeler
+from perfbench import workloads
 
 FIG_2B_EDGES = {
     ("00", "01"), ("00", "10"), ("11", "01"), ("11", "10"),
@@ -228,6 +233,37 @@ def test_dot_nodes_only_when_no_edges():
 def test_dot_deterministic(pl2):
     graph = build_state_graph(pl2, ASYNC)
     assert export_dot(graph) == export_dot(build_state_graph(pl2, ASYNC))
+
+
+class NullText(io.TextIOBase):
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_write_dot_holds_no_whole_text():
+    # A seeded 8-entity ternary net: 6,561 states, about 1 MB of DOT.
+    # Built whole, as one list of lines joined twice, the text peaked at
+    # about 6x its size.
+    spec = workloads.random_tables(random.Random(2), 8)
+    graph = build_state_graph(parse_model(workloads.model_text("NET", spec)), ASYNC)
+    sink = NullText()
+    tracemalloc.start()
+    try:
+        write_dot(graph, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(export_dot(graph)) > 10**6
+    assert peak <= 1.5 * sink.chars
 
 
 def test_state_label_wide():

@@ -25,7 +25,7 @@ from mvnabs import (
     reachability_soundness_suite,
     witness_path,
 )
-from mvnabs import oracle, semantics
+from mvnabs import checker, oracle, semantics
 from mvnabs.cli import main
 from mvnabs.fixtures import PL2_SOURCE
 from mvnabs.oracle import random_instance
@@ -248,7 +248,7 @@ def _sorted_failures(report):
 def test_suites_match_their_references(monkeypatch, apl2, pl2, rho_cro, mtrp, phi_trp):
     # The precondition is lifted so refuted triples reach the failure
     # branches too; the references never had one.
-    monkeypatch.setattr(oracle, "forward_holds", lambda *args: True)
+    monkeypatch.setattr(checker._Context, "refuting_pair", lambda self: None)
     triples = [(apl2, pl2, rho_cro)]
     triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
     rng = random.Random(17)
@@ -273,10 +273,26 @@ def test_suites_start_no_search(monkeypatch, atrp, mtrp, phi_trp):
     def refuse(*args):
         raise AssertionError("a search was started")
 
-    monkeypatch.setattr(oracle, "forward_holds", lambda *args: True)
+    monkeypatch.setattr(checker._Context, "refuting_pair", lambda self: None)
     monkeypatch.setattr(semantics, "bfs", refuse)
     assert reachability_soundness_suite(atrp, mtrp, phi_trp)["pairs_checked"] == 72
     assert attractor_correspondence(atrp, mtrp, phi_trp)["failures"] == []
+
+
+def test_reachability_suite_builds_each_graph_once(monkeypatch, atrp, mtrp, phi_trp):
+    # The precondition's context gives both graphs; a second pair of
+    # builds after it was the suite's cost before.
+    built = []
+
+    def counting(model, discipline):
+        built.append((model.name, discipline))
+        return build_state_graph(model, discipline)
+
+    monkeypatch.setattr(checker, "build_state_graph", counting)
+    monkeypatch.setattr(oracle, "build_state_graph", counting)
+    report = reachability_soundness_suite(atrp, mtrp, phi_trp)
+    assert report["pairs_checked"] == 72 and report["failures"] == []
+    assert built == [("ATRP", ASYNC), ("MTRP", ASYNC)]
 
 
 def test_reachability_soundness_on_the_probe():

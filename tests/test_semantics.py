@@ -18,7 +18,7 @@ from mvnabs import (
     reachable,
     sync_step,
 )
-from mvnabs import semantics
+from mvnabs import fixtures, semantics
 from mvnabs.errors import StateSpaceTooLargeError
 from mvnabs.model import Entity, Mvn, Neighbourhood, NextStateTable, state_space_size
 from mvnabs.oracle import random_model
@@ -366,3 +366,122 @@ def test_state_space_slices_are_tuples_of_states(pl2):
     states = tuple(nodes)
     for k in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(5, 1), slice(None)):
         assert nodes[k] == states[k]
+
+
+def list_tarjan(out):
+    """The Tarjan pass as it was when it built one list per component."""
+    n = len(out)
+    index = [-1] * n
+    lowlink = [0] * n
+    stack, sccs, work = [], [], []
+    order = itertools.count()
+
+    def enter(node):
+        index[node] = lowlink[node] = next(order)
+        stack.append(node)
+        work.append((node, iter(out[node])))
+
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        enter(root)
+        while work:
+            node, successors = work[-1]
+            for child in successors:
+                if index[child] < 0:
+                    enter(child)
+                    break
+                if index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    scc = []
+                    while True:
+                        top = stack.pop()
+                        index[top] = n
+                        scc.append(top)
+                        if top == node:
+                            break
+                    sccs.append(scc)
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+    return sccs
+
+
+def component_attractors(graph):
+    """``attractors`` as one loop over the graph's SCCs, for both
+    disciplines, as it was before synchronous graphs read their map."""
+    out = graph.out
+    found = []
+    for comp in list_tarjan(out):
+        u = comp[0]
+        if len(comp) > 1 or not out[u] or u in out[u]:
+            members = set(comp)
+            terminal = all(v in members for w in comp for v in out[w])
+            kind = "point" if len(comp) == 1 else "scc" if graph.semantics == ASYNC else "cycle"
+            found.append((min(comp), semantics.Attractor(
+                kind, frozenset(graph.nodes.decode(comp)), terminal)))
+    found.sort(key=lambda pair: pair[0])
+    return semantics.AttractorSet(graph.semantics, tuple(a for _, a in found))
+
+
+def long_tailed_model(bits: int = 9) -> Mvn:
+    """A binary counter of ``bits`` Boolean entities that stops at all
+    ones, beside a ternary entity with a fixed point and a 2-cycle: the
+    synchronous run from all zeros takes 2**bits - 1 steps to settle."""
+    entities = tuple(Entity(f"B{i}", 1) for i in range(bits)) + (Entity("R", 2),)
+    counter = tuple(range(bits))
+    neighbourhoods = tuple(Neighbourhood(i, counter) for i in counter)
+    neighbourhoods += (Neighbourhood(bits, (bits,)),)
+    tables = []
+    for i in counter:
+        rows = {}
+        for key in itertools.product((0, 1), repeat=bits):
+            carry = all(key[i + 1:])  # bit 0 is the most significant
+            rows[key] = 1 if all(key) else key[i] ^ carry
+        tables.append(NextStateTable(i, rows))
+    tables.append(NextStateTable(bits, {(0,): 0, (1,): 2, (2,): 1}))
+    return Mvn("Tail", entities, neighbourhoods, tuple(tables))
+
+
+def tarjan_models():
+    models = [fixtures.pl2(), fixtures.apl2(), fixtures.mtrp(), fixtures.atrp(),
+              long_tailed_model()]
+    rng = random.Random(22)
+    return models + [random_model(rng) for _ in range(300)]
+
+
+def test_long_tailed_model_settles_late():
+    model = long_tailed_model()
+    state, steps = (0,) * 10, 0
+    while sync_step(model, state) != state and steps < 2000:
+        state, steps = sync_step(model, state), steps + 1
+    assert state == (1,) * 9 + (0,) and steps == 2**9 - 1
+
+
+def test_sync_attractors_match_the_component_loop():
+    for model in tarjan_models():
+        graph = build_state_graph(model, SYNC)
+        result = attractors(graph)
+        assert "components" not in graph.__dict__  # no SCC pass ran
+        assert result == component_attractors(graph)
+        assert all(a.terminal for a in result.attractors)
+    tail = attractors(build_state_graph(long_tailed_model(), SYNC))
+    assert [(a.kind, len(a.states)) for a in tail.attractors] == [("point", 1), ("cycle", 2)]
+
+
+def test_async_attractors_match_the_component_loop():
+    for model in tarjan_models():
+        graph = build_state_graph(model, ASYNC)
+        assert attractors(graph) == component_attractors(graph)
+
+
+@pytest.mark.parametrize("discipline", [ASYNC, SYNC])
+def test_components_are_the_list_pass_as_tuples(discipline):
+    for model in tarjan_models():
+        graph = build_state_graph(model, discipline)
+        assert all(type(comp) is tuple for comp in graph.components)
+        assert graph.components == list(map(tuple, list_tarjan(graph.out)))
