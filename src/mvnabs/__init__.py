@@ -45,7 +45,6 @@ from .modelio import (
     parse_model,
     serialize_mapping,
     serialize_model,
-    state_label,
     state_labels,
     write_dot,
     write_report,

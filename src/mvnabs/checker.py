@@ -66,7 +66,8 @@ shared frozenset per bitmask, each built from the set of the mask
 without its lowest bit.  The 2^|class| walk itself remains.
 
 Same-image ("stutter") steps are read from one graph, the concrete
-asynchronous graph with only those steps kept, built once per check.
+asynchronous graph with only those steps kept, built once per check
+and dropped once its SCCs are listed.
 Same-image steps stay inside a class, so a node's packed derived sets
 are its own visible steps ORed with those of its stutter successors,
 and it can settle when it is a dead end, lies on a same-image cycle or
@@ -106,6 +107,7 @@ from .model import GlobalState, Mvn
 from .semantics import (
     ASYNC,
     StateGraph,
+    StateSpace,
     bfs,
     build_state_graph,
     path_to,
@@ -127,13 +129,10 @@ def concrete_class(phi: AbstractionMapping, state: GlobalState) -> StateSet:
     """All concrete states whose image is ``state``.
 
     Nonempty for every abstract state because each slot of the mapping
-    is surjective.
+    is surjective.  Raises :class:`ValueError` for a state outside the
+    abstract state space (:meth:`~mvnabs.semantics.StateSpace.index`).
     """
-    if len(state) != len(phi.source_max_levels):
-        raise ValueError("abstract state has the wrong number of entities")
-    target_max = phi.target_max_levels
-    if any(not (0 <= lvl <= target_max[i]) for i, lvl in enumerate(state)):
-        raise ValueError(f"state {state} is outside the abstract state space")
+    StateSpace(phi.target_max_levels).index(state)
     return frozenset(
         itertools.product(*(phi.preimage(i, lvl) for i, lvl in enumerate(state)))
     )
@@ -231,11 +230,11 @@ class _Context:
 
     ``image_index[k]`` is the abstract node index of concrete node k,
     ``members[a]`` the concrete nodes of abstract node a's class in
-    ascending order, ``pos[k]`` node k's position in its class and
-    ``stutter`` the concrete graph with only its same-image steps.
+    ascending order and ``pos[k]`` node k's position in its class.
     :meth:`_sweep` sets ``layouts[a]``, the packed derived sets of
     abstract node a (:class:`_Layout`), and ``settles[k]``, whether a
-    run from node k can settle.  The state set of each bitmask
+    run from node k can settle; the stutter graph it reads is a local
+    of it, so no context keeps that graph.  The state set of each bitmask
     (``_subsets``) is built on first use.
     """
 
@@ -244,7 +243,6 @@ class _Context:
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
         self.image_index = image_index(phi)
-        self.stutter = _stutter_graph(self.g2, self.image_index)
         self.members: list[list[int]] = [[] for _ in range(len(self.g1.nodes))]
         self.pos: list[int] = []
         for k, a in enumerate(self.image_index):  # ascending, so every class is sorted
@@ -255,8 +253,9 @@ class _Context:
         self._sweep()
 
     def _sweep(self) -> None:
-        """Set ``layouts`` and ``settles`` in one pass over the stutter
-        SCCs, sinks first (see the module docstring).
+        """Set ``layouts`` and ``settles`` in one pass over the SCCs of
+        the stutter graph (``g2`` with only its same-image steps), sinks
+        first (see the module docstring).
 
         Every node of an SCC shares both.  Asynchronous graphs have no
         self-loops, so a same-image cycle is an SCC of two or more nodes.
@@ -276,9 +275,11 @@ class _Context:
             offset_of.append(offsets)
             shapes.append((tuple(slots), fill, guards))
         out, images, pos = self.g2.out, self.image_index, self.pos
+        # The stutter graph is dropped once its SCCs are listed.
+        components = _stutter_graph(self.g2, images).components
         post = [0] * len(out)
         settles = [False] * len(out)
-        for comp in self.stutter.components:
+        for comp in components:
             packed, settle = 0, len(comp) > 1
             for u in comp:
                 a = images[u]

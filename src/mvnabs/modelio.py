@@ -320,11 +320,6 @@ def serialize_mapping(phi: AbstractionMapping, model: Mvn) -> str:
     return "\n".join(out) + "\n"
 
 
-def state_label(state: GlobalState, wide: bool = False) -> str:
-    """Digit-string label for a state; dot-separated when levels exceed 9."""
-    return ("." if wide else "").join(map(str, state))
-
-
 def _level_texts(max_levels, names) -> tuple[str, list[list[str]]]:
     """The label format: a separator and each entity's level texts, either
     digits (dot-separated when any max level exceeds 9) or ``name=level``."""

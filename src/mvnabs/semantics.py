@@ -39,11 +39,11 @@ is the one encoder, and it rejects states outside the space.
 
 Attractors are the long-run behaviours: under synchronous updates the
 unique cycles that iteration eventually enters, read off the successor
-map by repeated squaring with no SCC pass; under asynchronous updates
-the states with no successors (point attractors) plus the nontrivial
-strongly connected components of the state graph, from one Tarjan pass
-per graph, kept on the graph (:attr:`StateGraph.components`) and
-shared by every analysis of it.
+map by one walk from each node, with no SCC pass; under asynchronous
+updates the states with no successors (point attractors) plus the
+nontrivial strongly connected components of the state graph, from one
+Tarjan pass per graph, kept on the graph
+(:attr:`StateGraph.components`) and shared by every analysis of it.
 
 State graphs are materialised explicitly, which keeps every downstream
 analysis auditable.  Time and memory grow with the number of states,
@@ -492,34 +492,28 @@ def _sync_cycles(out: Sequence[Sequence[int]]) -> list[list[int]]:
     walked from its smallest node.
 
     Precondition: every node has exactly one successor, as in every
-    synchronous graph that :func:`build_state_graph` makes.  So ``out``
-    is a map f, and the map g = f^m is squared (m doubles) until its
-    image stops shrinking.  Images only shrink, since im(g∘g) ⊆ im(g),
-    so equal sizes mean im(g∘g) = im(g): g maps its image onto itself
-    and, the image being finite, is a bijection on it.  That image is
-    exactly the set of cycle nodes.  Each x in it is g^p(x) for the
-    order p of that permutation, so x = f^(mp)(x) lies on a cycle of f.
-    Each node c of a cycle of length L is f^(mL)(c) = f^m(f^(m(L-1))(c)),
-    so it lies in the image.
+    synchronous graph that :func:`build_state_graph` makes.  One walk
+    starts from each node in index order and follows the map, marking
+    every node it reaches with the walk's number, until it reaches a
+    marked node.  A walk that stops on its own mark has closed a new
+    cycle.  The marks are one 4-byte C int per node, 0 for unmarked.
     """
-    f = [succ[0] for succ in out]
-    g, image = f, set(f)
-    while True:
-        g = list(map(g.__getitem__, g))
-        smaller = set(g)
-        if len(smaller) == len(image):
-            break
-        image = smaller
+    mark = memoryview(bytearray(4 * len(out))).cast("i")
     cycles = []
-    for start in sorted(image):
-        if start in image:
-            cycle = [start]
-            v = f[start]
-            while v != start:
-                cycle.append(v)
-                v = f[v]
-            image.difference_update(cycle)
-            cycles.append(cycle)
+    for walk in range(1, len(out) + 1):  # walk k starts at node k - 1
+        v = walk - 1
+        while not mark[v]:
+            mark[v] = walk
+            (v,) = out[v]
+        if mark[v] == walk:
+            cycle = [v]
+            (u,) = out[v]
+            while u != v:
+                cycle.append(u)
+                (u,) = out[u]
+            low = cycle.index(min(cycle))
+            cycles.append(cycle[low:] + cycle[:low])
+    cycles.sort(key=itemgetter(0))
     return cycles
 
 

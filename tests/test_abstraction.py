@@ -127,6 +127,26 @@ def test_all_identity_mapping_is_impossible():
         AbstractionMapping((1, 2), (None, None))
 
 
+@pytest.mark.parametrize("table, message", [
+    ((0, 1), "cannot compress a range of size 2"),
+    ((0, -1, 1), "negative abstract level"),
+])
+def test_state_mapping_rejects_bad_tables(table, message):
+    with pytest.raises(MappingError, match=message):
+        StateMapping(0, table)
+
+
+@pytest.mark.parametrize("max_levels, slots, message", [
+    ((1, 2), (StateMapping(1, (0, 1, 1)),), "one slot per entity required"),
+    ((1, 2), (None, StateMapping(0, (0, 1, 1))), "slot 1 carries a mapping for entity 0"),
+    ((1, 3), (None, StateMapping(1, (0, 1, 1))),
+     r"entity 1: mapping covers 0\.\.2, source range is 0\.\.3"),
+])
+def test_abstraction_mapping_rejects_bad_slots(max_levels, slots, message):
+    with pytest.raises(MappingError, match=message):
+        AbstractionMapping(max_levels, slots)
+
+
 def test_enumerate_candidates_pl2(pl2, apl2, rho_cro):
     cands = enumerate_candidates(pl2, rho_cro)
     assert len(cands) == 2

@@ -33,7 +33,6 @@ from mvnabs import (
 )
 from mvnabs import checker
 from mvnabs.checker import CheckStats, FailureWitness, Removal, _Context
-from mvnabs.fixtures import APL2_SOURCE
 from mvnabs.oracle import random_instance
 
 
@@ -115,17 +114,6 @@ table X1:
 """
 
 
-@pytest.fixture
-def apl2_bad(pl2):
-    # Making 01 lose its point-attractor status in the abstract model
-    # demands behaviour the concrete model does not have.
-    src = APL2_SOURCE.replace("mvn APL2", "mvn APL2B").replace(
-        "table Cro:\n  0 0 -> 1\n  0 1 -> 1\n  1 0 -> 0\n  1 1 -> 0",
-        "table Cro:\n  0 0 -> 1\n  0 1 -> 0\n  1 0 -> 0\n  1 1 -> 0",
-    )
-    return parse_model(src)
-
-
 def test_concrete_class_examples(rho_cro, phi_trp):
     assert concrete_class(rho_cro, (0, 1)) == {(0, 1), (0, 2)}
     assert concrete_class(rho_cro, (1, 0)) == {(1, 0)}
@@ -137,8 +125,10 @@ def test_concrete_class_examples(rho_cro, phi_trp):
 
 
 def test_concrete_class_rejects_foreign_states(rho_cro):
-    with pytest.raises(ValueError):
-        concrete_class(rho_cro, (0, 2))  # abstract Cro range is 0..1
+    # The abstract Cro range is 0..1, and levels are ints.
+    for state in ((0, 2), (0.5, 0), (0, 1.0), ("0", 1), (0,)):
+        with pytest.raises(ValueError, match="outside the state space|does not have 2 levels"):
+            concrete_class(rho_cro, state)
 
 
 def test_consec_closure_examples(pl2, rho_cro):
@@ -529,6 +519,16 @@ def test_check_closed_rejects_successor_missing_from_family(apl2, pl2, rho_cro):
         StepTermFamily(family.mv1, family.mv2, family.phi, partial).check_closed()
 
 
+def test_check_closed_rejects_an_empty_family(apl2, pl2, rho_cro):
+    family = check_asyn_abs(apl2, pl2, rho_cro).family
+    emptied = dict(family.terms)
+    # The first state read, so no other state's term reaches it first.
+    assert next(iter(emptied)) == (0, 0)
+    emptied[(0, 0)] = {}
+    with pytest.raises(NotClosedError, match=r"no step terms left for abstract state \(0, 0\)"):
+        StepTermFamily(family.mv1, family.mv2, family.phi, emptied).check_closed()
+
+
 def _reference_sweep(phi, terms, sweep_rng=None):
     """The sweep of ``check_asyn_abs`` written on frozensets: gammas
     sorted as state lists and subset tests between state sets.
@@ -730,6 +730,29 @@ def test_graphs_freed_by_refcount(monkeypatch, apl2, apl2_bad, pl2, rho_cro):
         for mv1 in (apl2, apl2_bad):
             check_asyn_abs(mv1, pl2, rho_cro)
         assert len(graphs) == 5 and all(ref() is None for ref in graphs)
+    finally:
+        gc.enable()
+
+
+def test_stutter_graph_freed_after_the_sweep(monkeypatch, apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    graphs = []
+    stutter_graph = checker._stutter_graph
+
+    def recording_stutter(*args):
+        graph = stutter_graph(*args)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(checker, "_stutter_graph", recording_stutter)
+    gc.collect()
+    gc.disable()
+    try:
+        for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)):
+            # The family is never read, so the result keeps its context.
+            result = check_asyn_abs(mv1, mv2, phi)
+            assert result.holds and graphs[-1]() is None
+            del result
+        assert len(graphs) == 2
     finally:
         gc.enable()
 

@@ -503,6 +503,14 @@ def test_fuzz_negative_count_exits_2(capsys):
     assert captured.out == "" and "--count: must be 0 or more" in captured.err
 
 
+def test_fuzz_non_numeric_count_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--count: invalid int value: 'x'" in captured.err
+
+
 def _per_state_label(model, max_levels, named):
     """One state's label, formatted state by state."""
     if named:

@@ -25,7 +25,13 @@ from mvnabs import (
     sync_step,
 )
 from mvnabs.abstraction import AbstractionMapping, StateMapping
-from mvnabs.checker import _Context, check_asyn_abs, concrete_class, witness_path
+from mvnabs.checker import (
+    _Context,
+    _stutter_graph,
+    check_asyn_abs,
+    concrete_class,
+    witness_path,
+)
 from mvnabs.model import LEVEL_CAP, Entity, Mvn, Neighbourhood, NextStateTable
 from mvnabs.oracle import random_instance
 from mvnabs.semantics import reachable_set
@@ -205,6 +211,7 @@ def checker_instances():
 def test_closures_and_settleability_match_definitions():
     for mv1, mv2, phi in checker_instances():
         ctx = _Context(mv1, mv2, phi)
+        stutter = _stutter_graph(ctx.g2, ctx.image_index)
         image = dict(zip(ctx.g2.nodes, map(ctx.g1.nodes.__getitem__, ctx.image_index)))
         g = nx_graph(ctx.g2)
         same_image = g.edge_subgraph(
@@ -221,7 +228,7 @@ def test_closures_and_settleability_match_definitions():
             layout = ctx.layouts[a]
             unsettleable = 0
             for j, u in enumerate(klass[state]):
-                closure = reachable_set(ctx.stutter, u)
+                closure = reachable_set(stutter, u)
                 expected = {u} | (nx.descendants(same_image, u) if u in same_image else set())
                 assert closure == expected
                 settles = (

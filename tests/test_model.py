@@ -108,6 +108,60 @@ def test_require_valid_raises_with_diagnostics():
     assert err.value.diagnostics == ["entity CI: table row (1, 1) missing"]
 
 
+def _rewired(model, neighbourhoods=None, tables=None):
+    return Mvn(
+        model.name, model.entities,
+        model.neighbourhoods if neighbourhoods is None else tuple(neighbourhoods),
+        model.tables if tables is None else tuple(tables),
+    )
+
+
+def test_model_without_entities_reported():
+    assert validate(Mvn("E", (), (), ())) == ["model has no entities"]
+
+
+def test_wiring_counts_reported():
+    m = pl2()
+    assert validate(_rewired(m, m.neighbourhoods[:1], m.tables[:1])) == [
+        "expected 2 neighbourhoods, found 1",
+        "expected 2 tables, found 1",
+    ]
+
+
+def test_wiring_for_another_entity_reported():
+    m = pl2()
+    nbs = (Neighbourhood(1, m.neighbourhoods[0].inputs), m.neighbourhoods[1])
+    tables = (NextStateTable(1, m.tables[0].rows), m.tables[1])
+    assert validate(_rewired(m, nbs, tables)) == [
+        "entity CI: neighbourhood indexed for entity 1",
+        "entity CI: table indexed for entity 1",
+    ]
+
+
+def test_input_index_out_of_range_reported():
+    m = pl2()
+    nbs = (Neighbourhood(0, (0, 5)), m.neighbourhoods[1])
+    assert validate(_rewired(m, nbs)) == [
+        "entity CI: neighbourhood input index 5 out of range"
+    ]
+
+
+def test_input_entity_with_a_real_row_reported():
+    m = mtrp()
+    i = m.entity_index("TrpExt")
+    tables = list(m.tables)
+    tables[i] = NextStateTable(i, {(0,): 0, (1,): 1})
+    assert validate(_rewired(m, tables=tables)) == [
+        "entity TrpExt: input entity must have the single row () -> 0"
+    ]
+
+
+def test_row_outside_the_input_space_reported():
+    assert validate(_set_row(pl2(), "CI", (0, 3), 0)) == [
+        "entity CI: table row (0, 3) outside the input space"
+    ]
+
+
 def test_input_entity_placeholder_checked(mtrp):
     i = mtrp.entity_index("TrpExt")
     assert mtrp.is_input(i)

@@ -26,7 +26,6 @@ from mvnabs import (
     parse_model,
     serialize_mapping,
     serialize_model,
-    state_label,
     state_space_size,
     write_dot,
 )
@@ -128,6 +127,8 @@ ONE = "mvn X\nentity A : 0..1\nneighbourhood A = [A]\ntable A:\n"
         ("A: identity\n# two\nA: identity", "entity A has more than one clause", 3),
         ("A: identity; A: identity", "entity A has more than one clause", 1),
         ("\n\nA: 0->0, 1->1", "entity A: mapping is not total on 0..2 (missing [2])", 3),
+        ("mvn X\nentity A : 0..1\ntable B:\n", "table for unknown entity B", 3),
+        (ONE + "  0 -> x\n", "entity A: output 'x' is not a level", 5),
     ],
 )
 def test_parse_error_message_and_line(document, message, line):
@@ -267,8 +268,8 @@ def test_write_dot_holds_no_whole_text():
 
 
 def test_state_label_wide():
-    assert state_label((1, 2)) == "12"
-    assert state_label((1, 12), wide=True) == "1.12"
+    assert state_labeler((1, 2))((1, 2)) == "12"
+    assert state_labeler((1, 12))((1, 12)) == "1.12"
 
 
 def test_report_check_result(apl2, pl2, rho_cro):

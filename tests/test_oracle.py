@@ -201,6 +201,11 @@ def test_reachability_suite_requires_holding_abstraction(pl2, rho_cro):
         reachability_soundness_suite(bad, pl2, rho_cro)
 
 
+def test_reachability_suite_rejects_a_refuted_triple(apl2_bad, pl2, rho_cro):
+    with pytest.raises(ValueError, match="the abstraction does not hold"):
+        reachability_soundness_suite(apl2_bad, pl2, rho_cro)
+
+
 def test_attractor_correspondence_fixtures(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
     report = attractor_correspondence(apl2, pl2, rho_cro)
     assert report["attractors_checked"] == 2 and report["failures"] == []

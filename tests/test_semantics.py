@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,11 @@ HUGE_SOURCE = (
     + "".join(f"neighbourhood X{i} = [X{i}]\n" for i in range(15))
     + "".join(f"table X{i}:\n  {','.join(map(str, range(16)))} -> 0\n" for i in range(15))
 )
+
+
+def test_unknown_semantics_rejected():
+    with pytest.raises(ValueError, match="unknown semantics 'bogus'"):
+        build_state_graph(fixtures.pl2(), "bogus")
 
 
 def test_state_budget_is_checked_before_building(monkeypatch):
@@ -471,6 +477,20 @@ def test_sync_attractors_match_the_component_loop():
         assert all(a.terminal for a in result.attractors)
     tail = attractors(build_state_graph(long_tailed_model(), SYNC))
     assert [(a.kind, len(a.states)) for a in tail.attractors] == [("point", 1), ("cycle", 2)]
+
+
+def test_sync_attractors_walk_the_map_in_small_memory():
+    # The marks are one C int per node, about 0.1 MB for 24,576 states;
+    # a list and a set of node ints would take several MB.
+    graph = build_state_graph(long_tailed_model(13), SYNC)
+    tracemalloc.start()
+    try:
+        result = attractors(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    assert result == component_attractors(graph)
 
 
 def test_async_attractors_match_the_component_loop():

@@ -206,6 +206,18 @@ def test_async_traces_infinite_raises():
         async_traces(branchy())
 
 
+def test_finiteness_criterion_rejects_sync_graphs(pl2):
+    with pytest.raises(ValueError, match="applies to asynchronous graphs"):
+        trace_set_is_finite(build_state_graph(pl2, SYNC))
+
+
+def test_is_trace_of_rejects_a_non_edge(pl2):
+    graph = build_state_graph(pl2, ASYNC)
+    assert is_trace_of(graph, LassoTrace(((0, 0),), ((0, 1), (0, 2))))
+    # (0, 0) -> (0, 2) changes Cro by two levels at once.
+    assert not is_trace_of(graph, LassoTrace(((0, 0),), ((0, 2), (0, 1))))
+
+
 def test_async_traces_edgeless_model():
     model = parse_model(
         "mvn Id\nentity X : 0..2\nneighbourhood X = [X]\n"
