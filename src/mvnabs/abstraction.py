@@ -31,7 +31,7 @@ from .errors import (
     StructureMismatchError,
     TooManyCandidatesError,
 )
-from .model import Entity, GlobalState, Mvn, Neighbourhood, NextStateTable
+from .model import Entity, GlobalState, Mvn, NextStateTable, require_valid
 from .semantics import place_values
 from .traces import LassoTrace, TraceSet, canonicalize, sync_traces
 
@@ -279,35 +279,38 @@ class CandidateSet:
 def enumerate_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
     """Build every abstract model the mapping admits for ``model``.
 
-    For each entity and each abstract input row, the admissible outputs
-    are the images of the outputs of all concrete rows that collapse
-    onto that abstract row.  Rows with a single admissible output are
-    fixed; the candidates are the Cartesian product of the per-row
-    choices.  The wiring is preserved verbatim.
+    Validates ``model`` first, so a missing row raises
+    :class:`~mvnabs.errors.ModelValidationError` naming it.  Then reads
+    each concrete table once: every row files the image of its output
+    under the image of its input levels, so the admissible outputs of
+    an abstract row are the images of the outputs of all concrete rows
+    that collapse onto it.  Abstract rows are read in ascending order.
+    Rows with a single admissible output are fixed; the candidates are
+    the Cartesian product of the per-row choices.  The wiring is
+    preserved verbatim.
 
     Raises :class:`TooManyCandidatesError` before building any model
     when that product exceeds :data:`MAX_CANDIDATES`.
     """
     require_source_fits(phi, model)
+    require_valid(model)
     target_max = phi.target_max_levels
     entities = tuple(
         Entity(e.name, target_max[i]) for i, e in enumerate(model.entities)
     )
     fixed: list[dict[tuple[int, ...], int]] = []
     choice_points: list[ChoicePoint] = []
-    for i in range(len(model.entities)):
-        rows: dict[tuple[int, ...], int] = {}
-        inputs = model.neighbourhoods[i].inputs
-        if not inputs:
+    for i, (nb, table) in enumerate(zip(model.neighbourhoods, model.tables)):
+        if not nb.inputs:
             fixed.append({(): 0})
             continue
-        for u in itertools.product(*(range(target_max[j] + 1) for j in inputs)):
-            concrete_rows = itertools.product(
-                *(phi.preimage(j, u[k]) for k, j in enumerate(inputs))
-            )
-            options = sorted(
-                {phi.level_image(i, model.tables[i].rows[x]) for x in concrete_rows}
-            )
+        outputs: dict[tuple[int, ...], set[int]] = {}
+        for x, out in table.rows.items():
+            u = tuple(map(phi.level_image, nb.inputs, x))
+            outputs.setdefault(u, set()).add(phi.level_image(i, out))
+        rows: dict[tuple[int, ...], int] = {}
+        for u in sorted(outputs):
+            options = sorted(outputs[u])
             if len(options) == 1:
                 rows[u] = options[0]
             else:
@@ -320,9 +323,6 @@ def enumerate_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
             f"mapping admits {count} candidate abstractions of {model.name} "
             f"({len(choice_points)} choice points), over the budget of {MAX_CANDIDATES}"
         )
-    neighbourhoods = tuple(
-        Neighbourhood(i, nb.inputs) for i, nb in enumerate(model.neighbourhoods)
-    )
     models = []
     for k, picks in enumerate(
         itertools.product(*(cp.options for cp in choice_points))
@@ -334,7 +334,7 @@ def enumerate_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
             Mvn(
                 name=f"{model.name}_abs{k}",
                 entities=entities,
-                neighbourhoods=neighbourhoods,
+                neighbourhoods=model.neighbourhoods,
                 tables=tuple(NextStateTable(i, rows) for i, rows in enumerate(tables)),
             )
         )

@@ -525,6 +525,20 @@ class FailureWitness:
 
 @dataclass(frozen=True)
 class CheckStats:
+    """Counters of one :func:`check_asyn_abs` run.
+
+    ``abstract_states`` is the number of abstract states and
+    ``max_class_size`` the size of the largest concrete class.
+    ``initial_terms`` counts the valid step terms before the first
+    sweep, ``removed_terms`` the terms the sweeps pruned, and
+    ``iterations`` the sweeps run, the last one removing nothing when
+    the abstraction holds (0 when a state had no valid term at all).
+    ``surviving_terms`` maps each abstract state to the number of its
+    terms left when the check ended.  ``mvnabs check --json`` reports
+    all six under the same keys, with the states of ``surviving_terms``
+    written as labels.
+    """
+
     abstract_states: int
     max_class_size: int
     initial_terms: int
@@ -568,7 +582,21 @@ def check_asyn_abs(
     family returned when the abstraction holds builds its terms the
     first time they are read.
     """
-    ctx = _Context(mv1, mv2, phi)
+    return _check(_Context(mv1, mv2, phi), mv1, mv2, phi, sweep_rng)
+
+
+def _check(
+    ctx: _Context,
+    mv1: Mvn,
+    mv2: Mvn,
+    phi: AbstractionMapping,
+    sweep_rng: random.Random | None = None,
+) -> CheckResult:
+    """The sweeps of :func:`check_asyn_abs` on a built context.
+
+    They change nothing that :meth:`_Context.refuting_pair` reads, so
+    one context can give both the checker's and the forward verdict.
+    """
     nodes = ctx.g1.nodes
     # alive[a]: gamma mask -> packed derived sets, one per surviving term
     alive = [ctx.valid_subsets(a) for a in range(len(nodes))]

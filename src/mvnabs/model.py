@@ -161,7 +161,7 @@ def validate(model: Mvn) -> list[str]:
         if nb is None or any(not (0 <= j < n) for j in nb.inputs):
             continue  # wiring already reported; rows cannot be judged
         if not nb.inputs:
-            if set(table.rows) != {()}:
+            if table.rows != {(): 0}:
                 diags.append(f"entity {name}: input entity must have the single row () -> 0")
             continue
         expected = set(

@@ -11,7 +11,8 @@ candidate triples and checks that agreement on every instance the
 oracle can decide.  On every instance it also compares the checker with
 the forward decider :func:`~mvnabs.checker.forward_holds`, which is
 exact for infinite trace sets too but shares ``checker._Context`` with
-the checker; the oracle stays the independent check where supported.
+the checker: both verdicts are read from one context per instance, and
+the oracle stays the independent check where supported.
 The reachability and attractor suites read each graph's SCCs and
 images under ``phi``; neither searches from a concrete state.  The
 reachability suite reads both graphs and the images
@@ -32,7 +33,7 @@ from .abstraction import (
     enumerate_candidates,
     require_mapping_fits,
 )
-from .checker import _Context, check_asyn_abs, forward_holds
+from .checker import _check, _Context
 from .errors import NonMonotoneMappingWarning, TooManyTracesError, UnsupportedError
 from .model import Entity, Mvn, Neighbourhood, NextStateTable
 from .modelio import serialize_mapping, serialize_model
@@ -180,9 +181,10 @@ def differential_suite(seed: int, count: int) -> dict:
                 "mv2": serialize_model(mv2),
                 "mapping": serialize_mapping(phi, mv2),
             }
-            verdict = check_asyn_abs(mv1, mv2, phi).holds
+            ctx = _Context(mv1, mv2, phi)
+            verdict = _check(ctx, mv1, mv2, phi).holds
             record["checker"] = verdict
-            record["forward"] = forward_holds(mv1, mv2, phi)
+            record["forward"] = ctx.refuting_pair() is None
             try:
                 expected = oracle_check(mv1, mv2, phi)
             except UnsupportedError:
@@ -192,9 +194,7 @@ def differential_suite(seed: int, count: int) -> dict:
                 supported += 1
                 record["supported"] = True
                 record["oracle"] = expected
-                record["both_finite"] = trace_set_is_finite(
-                    build_state_graph(mv1, ASYNC)
-                )
+                record["both_finite"] = trace_set_is_finite(ctx.g1)
                 both_finite += record["both_finite"]
                 if expected != verdict:
                     divergences.append(dict(record, kind="verdict"))

@@ -203,13 +203,13 @@ class StateSpace(Sequence):
         """The index of ``state``: its mixed-radix number.
 
         Raises :class:`ValueError` unless ``state`` has one level per
-        entity, each an ``int`` within the entity's range.
+        entity, each an ``int`` (not a ``bool``) within the entity's range.
         """
         if len(state) != len(self.max_levels):
             raise ValueError(f"state {state} does not have {len(self.max_levels)} levels")
         k = 0
         for level, max_level in zip(state, self.max_levels):
-            if not (isinstance(level, int) and 0 <= level <= max_level):
+            if type(level) is bool or not (isinstance(level, int) and 0 <= level <= max_level):
                 raise ValueError(f"state {state} is outside the state space")
             k = k * (max_level + 1) + level
         return k

@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -8,6 +9,13 @@ from hypothesis import strategies as st
 from mvnabs import (
     ASYNC,
     AbstractionMapping,
+    CandidateSet,
+    ChoicePoint,
+    Entity,
+    ModelValidationError,
+    Mvn,
+    Neighbourhood,
+    NextStateTable,
     TooManyCandidatesError,
     LassoTrace,
     MappingError,
@@ -32,6 +40,7 @@ from mvnabs import abstraction
 from mvnabs import fixtures
 from mvnabs.fixtures import APL2_SOURCE
 from mvnabs.oracle import random_mapping, random_model
+from tests.test_checker import _all_compressed_triple
 
 # 16 entities, each read only by itself; compressing 1 and 2 together
 # leaves one abstract row per entity with two admissible outputs, so the
@@ -188,6 +197,83 @@ def test_enumerate_candidates_single_when_unambiguous():
     phi = parse_mapping("X: 0->0,1->1,2->1", model)
     cands = enumerate_candidates(model, phi)
     assert len(cands) == 1 and cands.choice_points == ()
+
+
+def reference_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
+    """Candidates by a walk over the abstract rows: each abstract row
+    reads its concrete rows through the product of the preimages of its
+    levels.  The reference for the one pass over each concrete table."""
+    target_max = phi.target_max_levels
+    fixed, choice_points = [], []
+    for i, nb in enumerate(model.neighbourhoods):
+        rows = {}
+        if not nb.inputs:
+            fixed.append({(): 0})
+            continue
+        for u in itertools.product(*(range(target_max[j] + 1) for j in nb.inputs)):
+            concrete_rows = itertools.product(
+                *(phi.preimage(j, u[k]) for k, j in enumerate(nb.inputs))
+            )
+            options = sorted(
+                {phi.level_image(i, model.tables[i].rows[x]) for x in concrete_rows}
+            )
+            if len(options) == 1:
+                rows[u] = options[0]
+            else:
+                choice_points.append(ChoicePoint(i, u, tuple(options)))
+        fixed.append(rows)
+    entities = tuple(Entity(e.name, target_max[i]) for i, e in enumerate(model.entities))
+    neighbourhoods = tuple(
+        Neighbourhood(i, nb.inputs) for i, nb in enumerate(model.neighbourhoods)
+    )
+    models = []
+    for k, picks in enumerate(itertools.product(*(cp.options for cp in choice_points))):
+        tables = [dict(rows) for rows in fixed]
+        for cp, pick in zip(choice_points, picks):
+            tables[cp.entity][cp.inputs] = pick
+        models.append(Mvn(
+            f"{model.name}_abs{k}", entities, neighbourhoods,
+            tuple(NextStateTable(i, rows) for i, rows in enumerate(tables)),
+        ))
+    return CandidateSet(tuple(models), tuple(choice_points))
+
+
+def _candidate_cases():
+    yield fixtures.mtrp(), fixtures.phi_trp()
+    yield fixtures.pl2(), fixtures.rho_cro()
+    for seed in (33, 13, 14, 16):
+        _, mv2, phi = _all_compressed_triple(random.Random(seed))
+        yield mv2, phi
+    rng = random.Random(24)
+    for _ in range(300):
+        model = random_model(rng)
+        yield model, random_mapping(rng, model)
+
+
+def test_enumerate_candidates_matches_the_abstract_row_walk():
+    for model, phi in _candidate_cases():
+        got, want = enumerate_candidates(model, phi), reference_candidates(model, phi)
+        assert got.choice_points == want.choice_points
+        assert [m.name for m in got.models] == [m.name for m in want.models]
+        for g, w in zip(got.models, want.models, strict=True):
+            assert g.entities == w.entities
+            assert g.neighbourhoods == w.neighbourhoods
+            # Rows in the same order, not only equal as dicts.
+            assert [list(t.rows.items()) for t in g.tables] == [
+                list(t.rows.items()) for t in w.tables
+            ]
+
+
+def test_enumerate_candidates_rejects_a_missing_row(mtrp, phi_trp):
+    trp = mtrp.entity_index("Trp")
+    rows = dict(mtrp.tables[trp].rows)
+    del rows[(0, 0, 0)]
+    tables = tuple(
+        NextStateTable(i, rows) if i == trp else t for i, t in enumerate(mtrp.tables)
+    )
+    broken = Mvn("MTRPgap", mtrp.entities, mtrp.neighbourhoods, tables)
+    with pytest.raises(ModelValidationError, match=r"entity Trp: table row \(0, 0, 0\) missing"):
+        enumerate_candidates(broken, phi_trp)
 
 
 def _refuse_models(*args, **kwargs):

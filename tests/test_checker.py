@@ -126,7 +126,7 @@ def test_concrete_class_examples(rho_cro, phi_trp):
 
 def test_concrete_class_rejects_foreign_states(rho_cro):
     # The abstract Cro range is 0..1, and levels are ints.
-    for state in ((0, 2), (0.5, 0), (0, 1.0), ("0", 1), (0,)):
+    for state in ((0, 2), (0.5, 0), (0, 1.0), ("0", 1), (0,), (True, False), (True, 0)):
         with pytest.raises(ValueError, match="outside the state space|does not have 2 levels"):
             concrete_class(rho_cro, state)
 

@@ -149,11 +149,13 @@ def test_input_index_out_of_range_reported():
 def test_input_entity_with_a_real_row_reported():
     m = mtrp()
     i = m.entity_index("TrpExt")
-    tables = list(m.tables)
-    tables[i] = NextStateTable(i, {(0,): 0, (1,): 1})
-    assert validate(_rewired(m, tables=tables)) == [
-        "entity TrpExt: input entity must have the single row () -> 0"
-    ]
+    # A row keyed by input levels, and the placeholder row with another value.
+    for rows in ({(0,): 0, (1,): 1}, {(): 1}):
+        tables = list(m.tables)
+        tables[i] = NextStateTable(i, rows)
+        assert validate(_rewired(m, tables=tables)) == [
+            "entity TrpExt: input entity must have the single row () -> 0"
+        ]
 
 
 def test_row_outside_the_input_space_reported():

@@ -143,10 +143,13 @@ def test_differential_suite_records_forward_verdict():
 
 
 def test_forward_divergence_is_reported(monkeypatch, capsys):
-    import mvnabs.oracle
-
+    # Flip the forward search's answer: a refuting pair where it finds
+    # none, and none where it finds one.
+    refuting_pair = checker._Context.refuting_pair
     monkeypatch.setattr(
-        mvnabs.oracle, "forward_holds", lambda *args: not forward_holds(*args)
+        checker._Context,
+        "refuting_pair",
+        lambda self: (self.g1.nodes[0], 0) if refuting_pair(self) is None else None,
     )
     report = differential_suite(seed=3, count=10)
     assert len(report["divergences"]) == 10

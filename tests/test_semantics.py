@@ -349,7 +349,7 @@ def test_sync_build_shares_one_tuple_per_successor(mtrp):
     assert len({id(vs) for vs in graph.out}) == len(set(graph.out)) < len(graph.out)
 
 
-@pytest.mark.parametrize("state", [(0.5, 0), (1, 2.0)])
+@pytest.mark.parametrize("state", [(0.5, 0), (1, 2.0), (True, 0), (1, False)])
 def test_non_integer_levels_are_outside_the_space(pl2, apl2, rho_cro, state):
     graph = build_state_graph(pl2, ASYNC)
     assert state not in graph.nodes
