@@ -31,7 +31,7 @@ from .errors import (
     StructureMismatchError,
     TooManyCandidatesError,
 )
-from .model import Entity, GlobalState, Mvn, NextStateTable, require_valid
+from .model import Entity, GlobalState, Mvn, NextStateTable, is_level, require_valid
 from .semantics import place_values
 from .traces import LassoTrace, TraceSet, canonicalize, sync_traces
 
@@ -43,39 +43,42 @@ from .traces import LassoTrace, TraceSet, canonicalize, sync_traces
 MAX_CANDIDATES = 1 << 14
 
 
+def state_mapping_problem(table: tuple[int, ...]) -> str | None:
+    """Why ``table`` is not a :class:`StateMapping`'s table, or ``None``
+    when it is one."""
+    m = len(table) - 1
+    if m < 2:
+        return f"cannot compress a range of size {m + 1}"
+    n = max(table)
+    for v in table:
+        if not is_level(v, n):
+            # Below the maximum, an int that is not a level is negative.
+            return "negative abstract level" if type(v) is int else f"{v!r} is not a level"
+    if n < 1:
+        return "codomain must be larger than one level"
+    if n >= m:
+        return f"codomain 0..{n} does not compress 0..{m}"
+    if set(table) != set(range(n + 1)):
+        return f"mapping is not surjective onto 0..{n}"
+    return None
+
+
 @dataclass(frozen=True)
 class StateMapping:
     """Surjective compression of one entity's levels onto ``{0..n}``.
 
     ``table[level]`` is the abstract level; the codomain must be a
     contiguous range of size at least two and strictly smaller than the
-    source range.
+    source range (:func:`state_mapping_problem`).
     """
 
     entity: int
     table: tuple[int, ...]
 
     def __post_init__(self):
-        m = len(self.table) - 1
-        if m < 2:
-            raise MappingError(
-                f"entity {self.entity}: cannot compress a range of size {m + 1}"
-            )
-        if any(v < 0 for v in self.table):
-            raise MappingError(f"entity {self.entity}: negative abstract level")
-        n = max(self.table)
-        if n < 1:
-            raise MappingError(
-                f"entity {self.entity}: codomain must be larger than one level"
-            )
-        if n >= m:
-            raise MappingError(
-                f"entity {self.entity}: codomain 0..{n} does not compress 0..{m}"
-            )
-        if set(self.table) != set(range(n + 1)):
-            raise MappingError(
-                f"entity {self.entity}: mapping is not surjective onto 0..{n}"
-            )
+        problem = state_mapping_problem(self.table)
+        if problem is not None:
+            raise MappingError(f"entity {self.entity}: {problem}")
 
     @property
     def target_max(self) -> int:
@@ -133,12 +136,6 @@ class AbstractionMapping:
     def apply(self, state: GlobalState) -> GlobalState:
         return tuple(self.level_image(i, lvl) for i, lvl in enumerate(state))
 
-    def fits_source(self, model: Mvn) -> bool:
-        return model.max_levels == self.source_max_levels
-
-    def fits_target(self, model: Mvn) -> bool:
-        return model.max_levels == self.target_max_levels
-
     def warn_if_non_monotone(self) -> None:
         for slot in self.slots:
             if slot is not None and not slot.is_monotone():
@@ -185,7 +182,7 @@ def require_same_structure(mv1: Mvn, mv2: Mvn) -> None:
 
 def require_source_fits(phi: AbstractionMapping, model: Mvn) -> None:
     """``phi`` must read ``model``'s states."""
-    if not phi.fits_source(model):
+    if model.max_levels != phi.source_max_levels:
         raise MappingMismatchError(
             f"mapping source ranges {phi.source_max_levels} do not match "
             f"{model.name} ranges {model.max_levels}"
@@ -196,7 +193,7 @@ def require_mapping_fits(phi: AbstractionMapping, mv1: Mvn, mv2: Mvn) -> None:
     """Same structure first, then ``phi`` must map ``mv2``'s states onto ``mv1``'s."""
     require_same_structure(mv1, mv2)
     require_source_fits(phi, mv2)
-    if not phi.fits_target(mv1):
+    if mv1.max_levels != phi.target_max_levels:
         raise MappingMismatchError(
             f"mapping target ranges {phi.target_max_levels} do not match "
             f"{mv1.name} ranges {mv1.max_levels}"

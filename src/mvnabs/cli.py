@@ -309,10 +309,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _print_warning
             return command(args)
-    except MvnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except OSError as exc:
+    except (MvnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

@@ -17,21 +17,17 @@ class ModelValidationError(MvnError):
         super().__init__("; ".join(self.diagnostics))
 
 
-def _at(message, line, column=None) -> str:
-    """``message`` prefixed with its location, when there is one."""
-    if line is None:
-        return message
-    where = f"line {line}" + (f", column {column}" if column is not None else "")
-    return f"{where}: {message}"
+def _at(message, line) -> str:
+    """``message`` prefixed with its line, when there is one."""
+    return message if line is None else f"line {line}: {message}"
 
 
 class ParseError(MvnError):
     """A model or mapping document failed to parse, with a location."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        super().__init__(_at(message, line, column))
+        super().__init__(_at(message, line))
 
 
 class MappingError(MvnError):

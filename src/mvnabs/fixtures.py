@@ -4,8 +4,9 @@
 lambda (CI Boolean, Cro ternary); ``APL2`` is its Boolean reduction.
 ``MTRP`` models the regulation of tryptophan biosynthesis in E. coli
 (four entities, TrpExt is an external input); ``ATRP`` is its Boolean
-reduction.  All are kept as DSL source so the parser is exercised on
-every access.
+reduction.  All are kept as DSL source, and each model and mapping is
+parsed from it on first access and cached (``lru_cache``), so once per
+process.
 """
 
 from __future__ import annotations

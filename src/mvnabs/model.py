@@ -118,11 +118,18 @@ def iter_states(model: Mvn) -> Iterator[GlobalState]:
     return itertools.product(*(range(e.max_level + 1) for e in model.entities))
 
 
+def is_level(value: object, top: int) -> bool:
+    """Whether ``value`` is a level of the range ``0..top``: an ``int``,
+    not a ``bool``, within it.  The one test of what a level is."""
+    return type(value) is int and 0 <= value <= top
+
+
 def validate(model: Mvn) -> list[str]:
     """Check every structural invariant; return one diagnostic per violation.
 
     An empty list means the model is valid.  Diagnostics name the entity
-    and, for table problems, the offending row.
+    and, for table problems, the offending row; within a table they come
+    in ascending row order.
     """
     diags: list[str] = []
     n = len(model.entities)
@@ -140,9 +147,9 @@ def validate(model: Mvn) -> list[str]:
         if e.name in seen_names:
             diags.append(f"entity {e.name}: duplicate name")
         seen_names.add(e.name)
-        if not (1 <= e.max_level <= LEVEL_CAP):
+        if not (is_level(e.max_level, LEVEL_CAP) and e.max_level):
             diags.append(
-                f"entity {e.name}: max_level must be in 1..{LEVEL_CAP}, got {e.max_level}"
+                f"entity {e.name}: max_level must be in 1..{LEVEL_CAP}, got {e.max_level!r}"
             )
 
     for i, nb in enumerate(model.neighbourhoods[:n]):
@@ -167,17 +174,15 @@ def validate(model: Mvn) -> list[str]:
         expected = set(
             itertools.product(*(range(model.entities[j].max_level + 1) for j in nb.inputs))
         )
-        for key in expected - set(table.rows):
+        keys, max_out = set(table.rows), model.entities[i].max_level
+        for key in sorted(expected - keys):
             diags.append(f"entity {name}: table row {key} missing")
-        for key in set(table.rows) - expected:
+        for key in sorted(keys - expected):
             diags.append(f"entity {name}: table row {key} outside the input space")
-        max_out = model.entities[i].max_level
-        for key in sorted(expected & set(table.rows)):
+        for key in sorted(expected & keys):
             out = table.rows[key]
-            if not (0 <= out <= max_out):
-                diags.append(
-                    f"entity {name}: table row {key} output {out} outside 0..{max_out}"
-                )
+            if not is_level(out, max_out):
+                diags.append(f"entity {name}: table row {key} output {out!r} outside 0..{max_out}")
     return diags
 
 

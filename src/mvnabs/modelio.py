@@ -34,9 +34,11 @@ command holds its whole output.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import json
+import math
 import re
 from typing import Callable, Sequence, TextIO
 
@@ -49,9 +51,8 @@ from .model import (
     Mvn,
     Neighbourhood,
     NextStateTable,
-    validate,
 )
-from .abstraction import AbstractionMapping, StateMapping
+from .abstraction import AbstractionMapping, StateMapping, state_mapping_problem
 from .semantics import AttractorSet, StateGraph
 from .traces import LassoTrace
 
@@ -59,6 +60,7 @@ _MVN_RE = re.compile(r"mvn\s+(\w+)\s*$")
 _ENTITY_RE = re.compile(r"entity\s+(\w+)\s*:\s*(\d+)\s*\.\.\s*(\d+)\s*$")
 _NEIGH_RE = re.compile(r"neighbourhood\s+(\w+)\s*=\s*\[([^\]]*)\]\s*$")
 _TABLE_RE = re.compile(r"table\s+(\w+)\s*:\s*$")
+_LEVEL_RE = re.compile(r"\d+$")
 _LEVELS_RE = re.compile(r"\d+(,\d+)*$")
 
 
@@ -69,8 +71,11 @@ def _strip(line: str) -> str:
 def parse_model(text: str, *, check: bool = True) -> Mvn:
     """Parse a model document; raise :class:`ParseError` on the first problem.
 
-    With ``check=False`` structural validation is skipped so callers can
-    collect the full diagnostic list themselves via
+    Every row is checked as it is read, so a parsed model is valid
+    except that a table may miss rows.  Once all rows are read, the
+    first table with a hole is reported at its line, naming its lowest
+    missing row.  With ``check=False`` that totality check is skipped so
+    callers can collect every missing row themselves via
     :func:`mvnabs.model.validate`.
     """
     name: str | None = None
@@ -176,7 +181,7 @@ def parse_model(text: str, *, check: bool = True) -> Mvn:
                     f"expected {len(inputs)}",
                     lineno,
                 )
-            if not out_text.isdigit():
+            if not _LEVEL_RE.match(out_text):
                 raise ParseError(f"entity {e.name}: output {out_text!r} is not a level", lineno)
             out = int(out_text)
             if out > e.max_level:
@@ -207,18 +212,14 @@ def parse_model(text: str, *, check: bool = True) -> Mvn:
                 rows[key] = out
         tables.append(NextStateTable(i, rows))
 
-    model = Mvn(name, tuple(entities), tuple(nbs), tuple(tables))
     if check:
-        diags = validate(model)
-        if diags:
-            # Totality is the only invariant the shape checks above cannot
-            # see; report the first hole at its table's position.
-            m = re.match(r"entity (\w+):", diags[0])
-            where = None
-            if m:
-                where = table_lines.get(m.group(1), entity_lines.get(m.group(1)))
-            raise ParseError(diags[0], where)
-    return model
+        for i, e in enumerate(entities):
+            ranges = [range(entities[j].max_level + 1) for j in nbs[i].inputs]
+            rows = tables[i].rows
+            if len(rows) < math.prod(map(len, ranges)):
+                key = next(key for key in itertools.product(*ranges) if key not in rows)
+                raise ParseError(f"entity {e.name}: table row {key} missing", table_lines[e.name])
+    return Mvn(name, tuple(entities), tuple(nbs), tuple(tables))
 
 
 def serialize_model(model: Mvn, header_comments: tuple[str, ...] = ()) -> str:
@@ -300,7 +301,11 @@ def parse_mapping(text: str, model: Mvn) -> AbstractionMapping:
                 + (f" (outside range: {sorted(extra)})" if extra else ""),
                 lineno,
             )
-        slots.append(StateMapping(i, tuple(pairs[l] for l in range(e.max_level + 1))))
+        table = tuple(pairs[l] for l in range(e.max_level + 1))
+        problem = state_mapping_problem(table)
+        if problem is not None:
+            raise MappingError(f"entity {e.name}: {problem}", lineno)
+        slots.append(StateMapping(i, table))
 
     phi = AbstractionMapping(model.max_levels, tuple(slots))
     phi.warn_if_non_monotone()
@@ -385,20 +390,13 @@ def report(result, *labelers) -> dict:
     """
     if isinstance(result, CheckResult):
         label, concrete = labelers
-        obj = {
-            "type": "check",
-            "holds": result.holds,
-            "iterations": result.stats.iterations,
-            "abstract_states": result.stats.abstract_states,
-            "max_class_size": result.stats.max_class_size,
-            "initial_terms": result.stats.initial_terms,
-            "removed_terms": result.stats.removed_terms,
-            "surviving_terms": {
-                label(s): n
-                for s, n in sorted(result.stats.surviving_terms.items())
-            },
-            "witness": None,
-        }
+        obj = {f.name: getattr(result.stats, f.name) for f in dataclasses.fields(result.stats)}
+        obj.update(
+            type="check",
+            holds=result.holds,
+            surviving_terms={label(s): n for s, n in sorted(obj["surviving_terms"].items())},
+            witness=None,
+        )
         if result.witness is not None:
             obj["witness"] = {
                 "state": label(result.witness.state),

@@ -65,7 +65,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import StateSpaceTooLargeError
-from .model import GlobalState, Mvn, require_valid, state_space_size
+from .model import GlobalState, Mvn, is_level, require_valid, state_space_size
 
 SYNC = "sync"
 ASYNC = "async"
@@ -202,14 +202,14 @@ class StateSpace(Sequence):
     def index(self, state: GlobalState) -> int:  # type: ignore[override]
         """The index of ``state``: its mixed-radix number.
 
-        Raises :class:`ValueError` unless ``state`` has one level per
-        entity, each an ``int`` (not a ``bool``) within the entity's range.
+        Raises :class:`ValueError` unless ``state`` has one level
+        (:func:`~mvnabs.model.is_level`) of each entity's range.
         """
         if len(state) != len(self.max_levels):
             raise ValueError(f"state {state} does not have {len(self.max_levels)} levels")
         k = 0
         for level, max_level in zip(state, self.max_levels):
-            if type(level) is bool or not (isinstance(level, int) and 0 <= level <= max_level):
+            if not is_level(level, max_level):
                 raise ValueError(f"state {state} is outside the state space")
             k = k * (max_level + 1) + level
         return k

@@ -139,6 +139,8 @@ def test_all_identity_mapping_is_impossible():
 @pytest.mark.parametrize("table, message", [
     ((0, 1), "cannot compress a range of size 2"),
     ((0, -1, 1), "negative abstract level"),
+    ((0, True, 1), "True is not a level"),
+    ((0, 1.0, 1), "1.0 is not a level"),
 ])
 def test_state_mapping_rejects_bad_tables(table, message):
     with pytest.raises(MappingError, match=message):

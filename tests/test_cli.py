@@ -55,6 +55,13 @@ def test_validate_reports_all_diagnostics(files, capsys):
     assert "missing" in capsys.readouterr().out
 
 
+def test_output_that_is_not_a_level_exits_2(tmp_path, capsys):
+    bad = tmp_path / "superscript.mvn"
+    bad.write_text(fixtures.PL2_SOURCE.replace("  0 0 -> 1\n", "  0 0 -> ²\n", 1), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: line 7: entity CI: output '²' is not a level\n")
+
+
 def test_parse_error_exits_2(files, tmp_path, capsys):
     bad = tmp_path / "bad.mvn"
     bad.write_text("entity X : 0..1\n", encoding="utf-8")

@@ -50,6 +50,21 @@ def test_out_of_range_output_reports_range():
     assert diags == ["entity Cro: table row (0, 1) output 3 outside 0..2"]
 
 
+@pytest.mark.parametrize("out", [True, 1.0, "1"])
+def test_output_that_is_not_an_int_reported(out):
+    assert validate(_set_row(pl2(), "CI", (0, 0), out)) == [
+        f"entity CI: table row (0, 0) output {out!r} outside 0..1"
+    ]
+
+
+def test_bool_max_level_reported():
+    m = pl2()
+    entities = (Entity("CI", True),) + m.entities[1:]
+    assert validate(Mvn(m.name, entities, m.neighbourhoods, m.tables)) == [
+        "entity CI: max_level must be in 1..15, got True"
+    ]
+
+
 def test_state_space_sizes():
     assert state_space_size(pl2()) == 6
     assert state_space_size(mtrp()) == 36

@@ -13,6 +13,8 @@ from mvnabs import (
     LassoTrace,
     MappingError,
     ModelValidationError,
+    Mvn,
+    NextStateTable,
     NonMonotoneMappingWarning,
     ParseError,
     async_traces,
@@ -27,6 +29,7 @@ from mvnabs import (
     serialize_mapping,
     serialize_model,
     state_space_size,
+    validate,
     write_dot,
 )
 from mvnabs.fixtures import (
@@ -129,6 +132,7 @@ ONE = "mvn X\nentity A : 0..1\nneighbourhood A = [A]\ntable A:\n"
         ("\n\nA: 0->0, 1->1", "entity A: mapping is not total on 0..2 (missing [2])", 3),
         ("mvn X\nentity A : 0..1\ntable B:\n", "table for unknown entity B", 3),
         (ONE + "  0 -> x\n", "entity A: output 'x' is not a level", 5),
+        (ONE + "  0 -> ²\n", "entity A: output '²' is not a level", 5),
     ],
 )
 def test_parse_error_message_and_line(document, message, line):
@@ -141,6 +145,32 @@ def test_parse_error_message_and_line(document, message, line):
             parse_mapping(document, ternary)
     assert getattr(err.value, "line", None) == line
     assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_missing_rows_reported_lowest_first(mtrp):
+    gaps = [(0, 0, 0), (1, 2, 2), (0, 2, 1), (1, 0, 0), (0, 1, 2)]
+    trp = mtrp.entity_index("Trp")
+    rows = {k: v for k, v in mtrp.tables[trp].rows.items() if k not in gaps}
+    tables = tuple(NextStateTable(trp, rows) if i == trp else t for i, t in enumerate(mtrp.tables))
+    gappy = Mvn(mtrp.name, mtrp.entities, mtrp.neighbourhoods, tables)
+    assert validate(gappy) == [f"entity Trp: table row {key} missing" for key in sorted(gaps)]
+    text = serialize_model(gappy)
+    line = text.splitlines().index("table Trp:") + 1
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: entity Trp: table row (0, 0, 0) missing"
+
+
+@pytest.mark.parametrize("document, message", [
+    ("CI: identity\nCro: 0->0, 1->0, 2->0",
+     "line 2: entity Cro: codomain must be larger than one level"),
+    ("CI: 0->0, 1->1", "line 1: entity CI: cannot compress a range of size 2"),
+])
+def test_mapping_clause_error_names_line_and_entity(pl2, document, message):
+    with pytest.raises(MappingError) as err:
+        parse_mapping(document, pl2)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("model", [pl2(), apl2(), mtrp(), atrp()])
@@ -383,6 +413,7 @@ DOCUMENT_ERRORS = (ParseError, ModelValidationError, MappingError)
 TOKENS = st.sampled_from([
     "", " ", "\n", "#", ":", ",", "..", "->", "[", "]", "=", "-1", "0", "2", "9",
     "99999", "entity", "neighbourhood", "table", "mvn", "identity", "\ufeff",
+    "²", "٣", "¹⁰",
 ])
 
 
@@ -410,6 +441,16 @@ def test_parse_model_raises_only_document_errors(text):
         parse_model(text)
     except DOCUMENT_ERRORS:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated([PL2_SOURCE, APL2_SOURCE, MTRP_SOURCE, ATRP_SOURCE]))
+def test_every_parsed_model_is_valid(text):
+    try:
+        model = parse_model(text)
+    except DOCUMENT_ERRORS:
+        return
+    assert validate(model) == []
 
 
 @pytest.mark.filterwarnings("ignore::mvnabs.NonMonotoneMappingWarning")

@@ -177,6 +177,26 @@ def wide_triple():
     return abstract, model, phi
 
 
+def test_verdict_divergence_is_reported(monkeypatch):
+    # Flip the oracle's answer: every supported instance diverges, and
+    # each record replays its instance.
+    oracle_answer = oracle.oracle_check
+    monkeypatch.setattr(oracle, "oracle_check", lambda *args: not oracle_answer(*args))
+    report = differential_suite(seed=3, count=10)
+    verdicts = [d for d in report["divergences"] if d["kind"] == "verdict"]
+    assert len(verdicts) == report["supported"] > 0
+    rng = random.Random(3)
+    instances = [random_instance(rng) for _ in range(10)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonMonotoneMappingWarning)
+        for d in verdicts:
+            mv1, mv2, phi = instances[d["index"]]
+            assert d["oracle"] is not d["checker"]
+            assert parse_model(d["mv1"]) == mv1
+            assert parse_model(d["mv2"]) == mv2
+            assert parse_mapping(d["mapping"], mv2) == phi
+
+
 def test_forward_holds_beyond_the_class_size_cap():
     abstract, model, phi = wide_triple()
     assert forward_holds(abstract, model, phi) is True
