@@ -94,7 +94,7 @@ class AbstractionMapping:
 
     ``slots[i]`` is ``None`` for the identity on entity ``i``.  At least
     one slot must be a proper state mapping.  ``source_max_levels`` pins
-    the concrete ranges so preimages are well defined.
+    the concrete ranges, so each slot's table covers its entity's range.
     """
 
     source_max_levels: tuple[int, ...]
@@ -126,12 +126,6 @@ class AbstractionMapping:
     def level_image(self, i: int, level: int) -> int:
         slot = self.slots[i]
         return level if slot is None else slot.table[level]
-
-    def preimage(self, i: int, abstract_level: int) -> tuple[int, ...]:
-        slot = self.slots[i]
-        if slot is None:
-            return (abstract_level,)
-        return tuple(l for l, v in enumerate(slot.table) if v == abstract_level)
 
     def apply(self, state: GlobalState) -> GlobalState:
         return tuple(self.level_image(i, lvl) for i, lvl in enumerate(state))
@@ -214,20 +208,16 @@ def _merge_after(seq, last):
 def abstract_trace(phi: AbstractionMapping, trace: LassoTrace) -> LassoTrace:
     """Map a trace pointwise and merge consecutive duplicate states.
 
-    If every state of the loop collapses to one abstract state the
-    result is a finite trace ending there; otherwise the result is the
-    canonical lasso of the merged infinite sequence.
+    The result is the canonical lasso of the merged sequence.  If every
+    state of the loop collapses to one abstract state the merged loop is
+    empty, so the result is a finite trace ending there.
     """
     prefix_img = [phi.apply(s) for s in trace.prefix]
-    if trace.is_finite:
-        return LassoTrace(tuple(_merge_after(prefix_img, None)), ())
     loop_img = [phi.apply(s) for s in trace.loop]
-    if all(s == loop_img[0] for s in loop_img):
-        return LassoTrace(tuple(_merge_after(prefix_img + [loop_img[0]], None)), ())
     # After the prefix and one loop copy the merge state is pinned to the
     # loop's last image, so every later copy emits the same merged word.
     head = _merge_after(prefix_img + loop_img, None)
-    body = _merge_after(loop_img, loop_img[-1])
+    body = _merge_after(loop_img, loop_img[-1] if loop_img else None)
     return canonicalize(LassoTrace(tuple(head), tuple(body)))
 
 

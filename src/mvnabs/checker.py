@@ -91,7 +91,6 @@ no class size is refused.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -126,16 +125,16 @@ StateSet = frozenset[GlobalState]
 
 
 def concrete_class(phi: AbstractionMapping, state: GlobalState) -> StateSet:
-    """All concrete states whose image is ``state``.
+    """All concrete states whose image is ``state``: those whose
+    :func:`~mvnabs.abstraction.image_index` entry is its abstract index.
 
     Nonempty for every abstract state because each slot of the mapping
     is surjective.  Raises :class:`ValueError` for a state outside the
     abstract state space (:meth:`~mvnabs.semantics.StateSpace.index`).
     """
-    StateSpace(phi.target_max_levels).index(state)
-    return frozenset(
-        itertools.product(*(phi.preimage(i, lvl) for i, lvl in enumerate(state)))
-    )
+    a = StateSpace(phi.target_max_levels).index(state)
+    members = (k for k, b in enumerate(image_index(phi)) if b == a)
+    return frozenset(StateSpace(phi.source_max_levels).decode(members))
 
 
 def _node(g1: StateGraph, state: GlobalState) -> int:
@@ -226,7 +225,7 @@ class _Subsets(dict):
 
 class _Context:
     """Shared per-check data on node indices, each piece computed once
-    per check.
+    per check, with the check's inputs ``mv1``, ``mv2`` and ``phi``.
 
     ``image_index[k]`` is the abstract node index of concrete node k,
     ``members[a]`` the concrete nodes of abstract node a's class in
@@ -240,6 +239,7 @@ class _Context:
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
         require_mapping_fits(phi, mv1, mv2)
+        self.mv1, self.mv2, self.phi = mv1, mv2, phi
         self.g1 = build_state_graph(mv1, ASYNC)
         self.g2 = build_state_graph(mv2, ASYNC)
         self.image_index = image_index(phi)
@@ -328,17 +328,6 @@ class _Context:
             invalid_reason=reason,
         )
 
-    def step_term(self, state: GlobalState, gamma: StateSet) -> StepTerm:
-        a = _node(self.g1, state)
-        klass = {self.g2.nodes[k]: self.pos[k] for k in self.members[a]}
-        if not gamma or not klass.keys() >= gamma:
-            raise GammaOutOfClassError(
-                f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
-            )
-        mask = sum(1 << klass[g] for g in gamma)
-        layout = self.layouts[a]
-        return self._term(a, layout, mask, _derived(layout, mask))
-
     def valid_subsets(self, a: int) -> dict[int, int]:
         """``{gamma mask: packed derived sets}`` of the valid terms of
         abstract node ``a``, in the order of the gammas' ascending
@@ -363,11 +352,6 @@ class _Context:
             for mask, packed in zip(masks, packs)
             if (packed + fill) & guards == guards and not mask & unsettleable
         }
-
-    def all_step_terms(self, state: GlobalState) -> list[StepTerm]:
-        """Valid terms in the order of :meth:`build_terms`."""
-        a = _node(self.g1, state)
-        return self.build_terms(a, self.valid_subsets(a))
 
     def build_terms(self, a: int, terms: dict[int, int]) -> list[StepTerm]:
         """``StepTerm`` objects for ``{gamma mask: packed derived sets}``
@@ -396,7 +380,7 @@ class _Context:
             packed = _derived(layout, pair[1])
             return [(s_i, packed >> offset & ones) for s_i, offset, ones in layout.slots]
 
-        for a, mask in itertools.chain(list(parents), bfs(parents, successors)):
+        for a, mask in bfs(parents, successors):
             # Only members of point states are ever unsettleable.
             if not mask & ~self.layouts[a].unsettleable:
                 return self.g1.nodes[a], mask
@@ -426,14 +410,27 @@ def make_step_term(
     mv1: Mvn, mv2: Mvn, phi: AbstractionMapping, state: GlobalState, gamma
 ) -> StepTerm:
     """Build the step term for ``(state, gamma)``; check ``term.valid``."""
-    return _Context(mv1, mv2, phi).step_term(state, frozenset(gamma))
+    ctx = _Context(mv1, mv2, phi)
+    gamma = frozenset(gamma)
+    a = _node(ctx.g1, state)
+    klass = {ctx.g2.nodes[k]: ctx.pos[k] for k in ctx.members[a]}
+    if not gamma or not klass.keys() >= gamma:
+        raise GammaOutOfClassError(
+            f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
+        )
+    mask = sum(1 << klass[g] for g in gamma)
+    layout = ctx.layouts[a]
+    return ctx._term(a, layout, mask, _derived(layout, mask))
 
 
 def all_step_terms(
     mv1: Mvn, mv2: Mvn, phi: AbstractionMapping, state: GlobalState
 ) -> list[StepTerm]:
-    """All valid step terms for one abstract state."""
-    return _Context(mv1, mv2, phi).all_step_terms(state)
+    """All valid step terms for one abstract state, in the order of
+    :meth:`_Context.build_terms`."""
+    ctx = _Context(mv1, mv2, phi)
+    a = _node(ctx.g1, state)
+    return ctx.build_terms(a, ctx.valid_subsets(a))
 
 
 class _LazyTerms(Mapping):
@@ -582,16 +579,10 @@ def check_asyn_abs(
     family returned when the abstraction holds builds its terms the
     first time they are read.
     """
-    return _check(_Context(mv1, mv2, phi), mv1, mv2, phi, sweep_rng)
+    return _check(_Context(mv1, mv2, phi), sweep_rng)
 
 
-def _check(
-    ctx: _Context,
-    mv1: Mvn,
-    mv2: Mvn,
-    phi: AbstractionMapping,
-    sweep_rng: random.Random | None = None,
-) -> CheckResult:
+def _check(ctx: _Context, sweep_rng: random.Random | None = None) -> CheckResult:
     """The sweeps of :func:`check_asyn_abs` on a built context.
 
     They change nothing that :meth:`_Context.refuting_pair` reads, so
@@ -656,7 +647,7 @@ def _check(
         if not removed_this_sweep:
             break
 
-    family = StepTermFamily(mv1=mv1, mv2=mv2, phi=phi, terms=_LazyTerms(ctx, alive))
+    family = StepTermFamily(ctx.mv1, ctx.mv2, ctx.phi, _LazyTerms(ctx, alive))
     return CheckResult(True, family, None, stats(iterations))
 
 
@@ -712,7 +703,7 @@ def witness_path(
             elif i < last and images[v] == steps[i + 1]:
                 yield v, i + 1
 
-    for pair in itertools.chain(list(parents), bfs(parents, successors)):
+    for pair in bfs(parents, successors):
         if pair[1] == last:
             return tuple(g2.nodes[k] for k, _ in path_to(parents, pair))
     # Unreachable for a closed family: its terms realise every step.

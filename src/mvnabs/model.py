@@ -152,20 +152,22 @@ def validate(model: Mvn) -> list[str]:
                 f"entity {e.name}: max_level must be in 1..{LEVEL_CAP}, got {e.max_level!r}"
             )
 
+    miswired = set()  # entities with an input index out of range
     for i, nb in enumerate(model.neighbourhoods[:n]):
         name = model.entities[i].name
         if nb.entity != i:
             diags.append(f"entity {name}: neighbourhood indexed for entity {nb.entity}")
         for j in nb.inputs:
-            if not (0 <= j < n):
+            if not is_level(j, n - 1):
                 diags.append(f"entity {name}: neighbourhood input index {j} out of range")
+                miswired.add(i)
 
     for i, table in enumerate(model.tables[:n]):
         name = model.entities[i].name
         if table.entity != i:
             diags.append(f"entity {name}: table indexed for entity {table.entity}")
         nb = model.neighbourhoods[i] if i < len(model.neighbourhoods) else None
-        if nb is None or any(not (0 <= j < n) for j in nb.inputs):
+        if nb is None or i in miswired:
             continue  # wiring already reported; rows cannot be judged
         if not nb.inputs:
             if table.rows != {(): 0}:
@@ -175,11 +177,21 @@ def validate(model: Mvn) -> list[str]:
             itertools.product(*(range(model.entities[j].max_level + 1) for j in nb.inputs))
         )
         keys, max_out = set(table.rows), model.entities[i].max_level
+        outside = keys - expected
+        inside = keys - outside
+        # A bool or float cell equals and hashes as an int, so (True, 0)
+        # passes for the row (1, 0).  One scan of the cell types finds
+        # such keys; only a table that has one pays for a per-key test.
+        if set(map(type, itertools.chain.from_iterable(inside))) != {int}:
+            tops = [model.entities[j].max_level for j in nb.inputs]
+            bad = {key for key in inside if not all(map(is_level, key, tops))}
+            outside |= bad
+            inside -= bad
         for key in sorted(expected - keys):
             diags.append(f"entity {name}: table row {key} missing")
-        for key in sorted(keys - expected):
+        for key in sorted(outside):
             diags.append(f"entity {name}: table row {key} outside the input space")
-        for key in sorted(expected & keys):
+        for key in sorted(inside):
             out = table.rows[key]
             if not is_level(out, max_out):
                 diags.append(f"entity {name}: table row {key} output {out!r} outside 0..{max_out}")

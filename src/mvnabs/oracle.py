@@ -80,7 +80,7 @@ _SURJECTIVE_3_TO_2 = [
 ]
 
 
-def random_model(rng: random.Random, name: str = "R") -> Mvn:
+def random_model(rng: random.Random) -> Mvn:
     """A small random model biased toward interesting dynamics.
 
     Two or three entities, levels at most 2, at least one ternary entity
@@ -113,7 +113,7 @@ def random_model(rng: random.Random, name: str = "R") -> Mvn:
             ):
                 rows[key] = rng.randrange(max_levels[i] + 1)
             tables.append(NextStateTable(i, rows))
-        model = Mvn(name, entities, tuple(neighbourhoods), tuple(tables))
+        model = Mvn("R", entities, tuple(neighbourhoods), tuple(tables))
         if any(build_state_graph(model, ASYNC).out):
             return model
 
@@ -182,7 +182,7 @@ def differential_suite(seed: int, count: int) -> dict:
                 "mapping": serialize_mapping(phi, mv2),
             }
             ctx = _Context(mv1, mv2, phi)
-            verdict = _check(ctx, mv1, mv2, phi).holds
+            verdict = _check(ctx).holds
             record["checker"] = verdict
             record["forward"] = ctx.refuting_pair() is None
             try:

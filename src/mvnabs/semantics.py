@@ -51,8 +51,8 @@ which is exponential in the number of entities, so a build first calls
 :func:`require_state_budget`, which refuses a state space above
 :data:`MAX_STATES`.  Every search over a graph (reachability here, and
 the witness lifts and forward search of the checker) is one
-breadth-first search, :func:`bfs`, with :func:`path_to` reading paths
-back from it.
+breadth-first search, :func:`bfs`, which yields its sources first, with
+:func:`path_to` reading paths back from it.
 """
 
 from __future__ import annotations
@@ -527,12 +527,14 @@ def bfs(
     """Breadth-first search from the keys of ``parents``.
 
     ``parents`` belongs to the caller and starts with every source
-    mapped to ``None``.  Each newly reached node is recorded with the
-    node it was reached from and then yielded, in breadth-first order;
-    a caller stops the search by leaving its loop, and afterwards
-    ``parents`` holds every node reached so far.
+    mapped to ``None``.  The sources are yielded first, in key order.
+    Then each newly reached node is recorded with the node it was
+    reached from and yielded, in breadth-first order.  A caller stops
+    the search by leaving its loop, and afterwards ``parents`` holds
+    every node reached so far.
     """
     queue = list(parents)
+    yield from queue
     for u in queue:  # the queue grows while it is read
         for v in step(u):
             if v not in parents:

@@ -27,7 +27,9 @@ from mvnabs import (
     abstract_trace_set,
     async_traces,
     build_state_graph,
+    canonicalize,
     check_sync_abstraction,
+    concrete_class,
     enumerate_candidates,
     image_index,
     iter_states,
@@ -35,6 +37,7 @@ from mvnabs import (
     parse_model,
     serialize_model,
     sync_traces,
+    trace_set_is_finite,
 )
 from mvnabs import abstraction
 from mvnabs import fixtures
@@ -206,6 +209,10 @@ def reference_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
     reads its concrete rows through the product of the preimages of its
     levels.  The reference for the one pass over each concrete table."""
     target_max = phi.target_max_levels
+    preimages = [
+        {u: [l for l in range(top + 1) if phi.level_image(j, l) == u] for u in range(top + 1)}
+        for j, top in enumerate(model.max_levels)
+    ]
     fixed, choice_points = [], []
     for i, nb in enumerate(model.neighbourhoods):
         rows = {}
@@ -214,7 +221,7 @@ def reference_candidates(model: Mvn, phi: AbstractionMapping) -> CandidateSet:
             continue
         for u in itertools.product(*(range(target_max[j] + 1) for j in nb.inputs)):
             concrete_rows = itertools.product(
-                *(phi.preimage(j, u[k]) for k, j in enumerate(nb.inputs))
+                *(preimages[j][u[k]] for k, j in enumerate(nb.inputs))
             )
             options = sorted(
                 {phi.level_image(i, model.tables[i].rows[x]) for x in concrete_rows}
@@ -330,7 +337,6 @@ def test_abstract_state_is_surjective(seed):
 def test_abstract_trace_commutes_with_unrolling(seed):
     rng = random.Random(seed)
     model = random_model(rng)
-    from mvnabs import ASYNC, build_state_graph, trace_set_is_finite
 
     graph = build_state_graph(model, ASYNC)
     if not trace_set_is_finite(graph):
@@ -367,3 +373,60 @@ def test_image_index_is_the_image_of_every_node():
         g1 = build_state_graph(enumerate_candidates(mv2, phi).models[0], ASYNC)
         g2 = build_state_graph(mv2, ASYNC)
         assert image_index(phi) == [g1.index(phi.apply(s)) for s in g2.nodes]
+
+
+def test_concrete_class_is_every_state_with_that_image():
+    for model, phi in _instances():
+        classes = {}
+        for t in iter_states(model):
+            classes.setdefault(phi.apply(t), set()).add(t)
+        for s in itertools.product(*(range(top + 1) for top in phi.target_max_levels)):
+            assert concrete_class(phi, s) == classes[s]
+
+
+def _three_branch_abstract_trace(phi, trace):
+    """The lasso abstraction with the finite and collapsed-loop cases
+    kept apart: the reference for the one merge of ``abstract_trace``."""
+
+    def merge(seq, last):
+        out = []
+        for s in seq:
+            if s != last:
+                out.append(s)
+            last = s
+        return out
+
+    prefix_img = [phi.apply(s) for s in trace.prefix]
+    if trace.is_finite:
+        return LassoTrace(tuple(merge(prefix_img, None)), ())
+    loop_img = [phi.apply(s) for s in trace.loop]
+    if all(s == loop_img[0] for s in loop_img):
+        return LassoTrace(tuple(merge(prefix_img + [loop_img[0]], None)), ())
+    head = merge(prefix_img + loop_img, None)
+    body = merge(loop_img, loop_img[-1])
+    return canonicalize(LassoTrace(tuple(head), tuple(body)))
+
+
+def test_abstract_trace_matches_the_three_branch_rule():
+    rng = random.Random(2027)
+    kinds = {"finite": 0, "collapsed": 0, "cycle": 0}
+    for model, phi in _instances():
+        graph = build_state_graph(model, ASYNC)
+        traces = set(sync_traces(model))
+        if trace_set_is_finite(graph):
+            traces |= async_traces(model, graph)
+        # Lassos that are not canonical: repeated states, a loop that
+        # repeats a shorter word, and a prefix that ends in the loop.
+        states = list(iter_states(model))
+        for _ in range(20):
+            loop = rng.choices(states, k=rng.randint(0, 4)) * rng.randint(1, 2)
+            prefix = rng.choices(states, k=rng.randint(0, 3)) + loop[-1:] * rng.randint(0, 2)
+            if prefix or loop:
+                traces.add(LassoTrace(tuple(prefix), tuple(loop)))
+        for t in traces:
+            assert abstract_trace(phi, t) == _three_branch_abstract_trace(phi, t)
+            if t.is_finite:
+                kinds["finite"] += 1
+            else:
+                kinds["collapsed" if len(set(map(phi.apply, t.loop))) == 1 else "cycle"] += 1
+    assert min(kinds.values()) > 100

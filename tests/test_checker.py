@@ -652,7 +652,7 @@ def test_mask_sweep_matches_reference_sweep(apl2, apl2_bad, pl2, rho_cro, atrp, 
     verdicts, removals, classes = set(), 0, 0
     for k, (mv1, mv2, phi) in enumerate(triples):
         ctx = _Context(mv1, mv2, phi)
-        terms = {s: ctx.all_step_terms(s) for s in ctx.g1.nodes}
+        terms = {s: all_step_terms(mv1, mv2, phi, s) for s in ctx.g1.nodes}
         for shuffle in (False, True):
             expected = _reference_sweep(phi, terms, random.Random(k) if shuffle else None)
             result = check_asyn_abs(

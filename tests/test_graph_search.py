@@ -34,7 +34,7 @@ from mvnabs.checker import (
 )
 from mvnabs.model import LEVEL_CAP, Entity, Mvn, Neighbourhood, NextStateTable
 from mvnabs.oracle import random_instance
-from mvnabs.semantics import reachable_set
+from mvnabs.semantics import bfs, path_to, reachable_set
 from tests.test_checker import _merged_image
 
 
@@ -154,6 +154,24 @@ def test_attractors_match_references(seed):
     found = attractors(graph).attractors
     assert {(a.kind, a.states, a.terminal) for a in found} == expected
     assert [min(a.states) for a in found] == sorted(min(a.states) for a in found)
+
+
+def test_bfs_yields_sources_then_new_nodes_with_parents():
+    out = {3: [1, 4], 1: [0, 3], 4: [0, 2], 0: [], 2: [5], 5: []}
+    parents = {3: None, 1: None}
+    assert list(bfs(parents, out.__getitem__)) == [3, 1, 4, 0, 2, 5]
+    assert parents == {3: None, 1: None, 4: 3, 0: 1, 2: 4, 5: 2}
+    # The sources come before any step; a consumer that stops early
+    # leaves ``parents`` holding exactly what was reached.
+    stepped = []
+    parents = {3: None, 1: None}
+    search = bfs(parents, lambda u: stepped.append(u) or out[u])
+    assert [next(search), next(search)] == [3, 1] and stepped == []
+    for v in search:
+        if v == 0:
+            break
+    assert parents == {3: None, 1: None, 4: 3, 0: 1} and stepped == [3, 1]
+    assert path_to(parents, 0) == (1, 0)
 
 
 @pytest.mark.parametrize("seed", NETWORK_SEEDS)

@@ -161,6 +161,15 @@ def test_input_index_out_of_range_reported():
     ]
 
 
+def test_bool_input_indices_reported():
+    m = pl2()
+    nbs = (Neighbourhood(0, (False, True)), m.neighbourhoods[1])
+    assert validate(_rewired(m, nbs)) == [
+        "entity CI: neighbourhood input index False out of range",
+        "entity CI: neighbourhood input index True out of range",
+    ]
+
+
 def test_input_entity_with_a_real_row_reported():
     m = mtrp()
     i = m.entity_index("TrpExt")
@@ -176,6 +185,15 @@ def test_input_entity_with_a_real_row_reported():
 def test_row_outside_the_input_space_reported():
     assert validate(_set_row(pl2(), "CI", (0, 3), 0)) == [
         "entity CI: table row (0, 3) outside the input space"
+    ]
+
+
+@pytest.mark.parametrize("cell", [True, 1.0])
+def test_row_key_that_is_not_an_int_reported(cell):
+    # (True, 0) and (1.0, 0) equal and hash as (1, 0), the row they replace.
+    broken = _set_row(_drop_row(pl2(), "CI", (1, 0)), "CI", (cell, 0), 1)
+    assert validate(broken) == [
+        f"entity CI: table row ({cell!r}, 0) outside the input space"
     ]
 
 

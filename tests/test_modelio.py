@@ -185,6 +185,10 @@ def test_round_trip_through_mapping(pl2, rho_cro):
 
 def test_parse_mapping_semicolon_form(pl2, rho_cro):
     assert parse_mapping("Cro: 0->0,1->1,2->1; CI: identity", pl2) == rho_cro
+    # Empty clauses and items are skipped; a leading comma leaves an
+    # empty first item.
+    assert parse_mapping("CI: identity;; Cro: 0->0,, 1->1, 2->1", pl2) == rho_cro
+    assert parse_mapping("CI: identity;; Cro: ,0->0,, 1->1, 2->1", pl2) == rho_cro
 
 
 def test_mapping_codomain_of_one_rejected(pl2):
@@ -401,6 +405,11 @@ def test_export_report_is_the_record_as_json():
     ]
     for r, *levels in results:
         assert json.loads(export_report(r, *levels)) == report(r, *map(state_labeler, levels))
+
+
+def test_export_report_rejects_an_unknown_result():
+    with pytest.raises(TypeError, match="cannot export object"):
+        export_report(object())
 
 
 def test_state_labeler_names_levels():
