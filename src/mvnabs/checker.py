@@ -58,23 +58,24 @@ Validity is a bit test on the packed value.  The sweeps run on these
 integers too: a term is its gamma's bitmask and packed derived sets,
 and the derived set T(S_i) is one slot of the packed value, so the
 subset test is ``g & ~t == 0``; it looks the submasks of T(S_i) up
-when they are fewer than the surviving terms.  States become tuples
-only at the edge: the recorded removals, ``CheckStats`` and, when the
+when they are fewer than the surviving terms.  A removal is recorded
+as four ints, the two nodes and two masks.  States become tuples only
+at the edge: the removals of a refutation, ``CheckStats`` and, when the
 abstraction holds, the ``StepTerm`` objects of the surviving family,
 which are built the first time the family's terms are read, with one
 shared frozenset per bitmask, each built from the set of the mask
 without its lowest bit.  The 2^|class| walk itself remains.
 
-Same-image ("stutter") steps are read from one graph, the concrete
-asynchronous graph with only those steps kept, built once per check
-and dropped once its SCCs are listed.
-Same-image steps stay inside a class, so a node's packed derived sets
-are its own visible steps ORed with those of its stutter successors,
-and it can settle when it is a dead end, lies on a same-image cycle or
-has a stutter successor that can settle.  One pass over the stutter
-SCCs in Tarjan's order (sinks first) computes both for every node,
-with no closure built.  :func:`witness_path` reads none of these
-tables; it lifts a path by one breadth-first search on the graph.
+Same-image ("stutter") steps are the concrete asynchronous graph's
+steps whose target has the image of their source, read off that graph
+in place: no second graph is built.  They stay inside a class, so a
+node's packed derived sets are its own visible steps ORed with those
+of its stutter successors, and it can settle when it is a dead end,
+lies on a same-image cycle or has a stutter successor that can settle.
+One pass over the stutter SCCs in Tarjan's order (sinks first)
+computes both for every node, with no closure built.
+:func:`witness_path` reads none of these tables; it lifts a path by
+one breadth-first search on the graph.
 
 :func:`forward_holds` reaches the same verdict by forward subset
 construction on the same tables, as antichain-style inclusion checks do
@@ -103,15 +104,7 @@ from .abstraction import (
 )
 from .errors import ClassTooLargeError, GammaOutOfClassError, NotClosedError
 from .model import GlobalState, Mvn
-from .semantics import (
-    ASYNC,
-    StateGraph,
-    StateSpace,
-    bfs,
-    build_state_graph,
-    path_to,
-    reachable_set,
-)
+from .semantics import ASYNC, StateSpace, bfs, build_state_graph, path_to, tarjan
 
 # Step terms are enumerated over all nonempty subsets of a concrete
 # class, as two lists of 2^|class| ints (gamma masks and packed derived
@@ -137,26 +130,19 @@ def concrete_class(phi: AbstractionMapping, state: GlobalState) -> StateSet:
     return frozenset(StateSpace(phi.source_max_levels).decode(members))
 
 
-def _node(g1: StateGraph, state: GlobalState) -> int:
-    """The abstract node index of ``state``."""
-    try:
-        return g1.index(state)
-    except (TypeError, ValueError):
-        raise ValueError(f"state {state} is outside the abstract state space") from None
-
-
-def _stutter_graph(graph: StateGraph, images: list[int]) -> StateGraph:
-    """``graph`` with only its same-image steps kept."""
-    return StateGraph(graph.name, graph.semantics, graph.nodes, tuple(
-        tuple(v for v in vs if images[v] == a) for vs, a in zip(graph.out, images)
-    ))
-
-
 def consec_closure(mv2: Mvn, phi: AbstractionMapping, state: GlobalState) -> StateSet:
-    """Least set containing ``state`` and closed under same-image steps."""
+    """Least set containing ``state`` and closed under same-image steps,
+    by one breadth-first search of ``mv2``'s asynchronous graph.
+
+    Raises :class:`ValueError` for a state outside ``mv2``'s state space.
+    """
     require_source_fits(phi, mv2)
     graph = build_state_graph(mv2, ASYNC)
-    return reachable_set(_stutter_graph(graph, image_index(phi)), state)
+    images = image_index(phi)
+    parents: dict[int, int | None] = {graph.index(state): None}
+    for _ in bfs(parents, lambda u: (v for v in graph.out[u] if images[v] == images[u])):
+        pass
+    return frozenset(graph.nodes.decode(parents))
 
 
 @dataclass(frozen=True)
@@ -232,9 +218,9 @@ class _Context:
     ascending order and ``pos[k]`` node k's position in its class.
     :meth:`_sweep` sets ``layouts[a]``, the packed derived sets of
     abstract node a (:class:`_Layout`), and ``settles[k]``, whether a
-    run from node k can settle; the stutter graph it reads is a local
-    of it, so no context keeps that graph.  The state set of each bitmask
-    (``_subsets``) is built on first use.
+    run from node k can settle; the same-image successor lists it hands
+    Tarjan are dropped when Tarjan returns, so no context keeps them.
+    The state set of each bitmask (``_subsets``) is built on first use.
     """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
@@ -254,8 +240,7 @@ class _Context:
 
     def _sweep(self) -> None:
         """Set ``layouts`` and ``settles`` in one pass over the SCCs of
-        the stutter graph (``g2`` with only its same-image steps), sinks
-        first (see the module docstring).
+        ``g2``'s same-image steps, sinks first (see the module docstring).
 
         Every node of an SCC shares both.  Asynchronous graphs have no
         self-loops, so a same-image cycle is an SCC of two or more nodes.
@@ -275,8 +260,10 @@ class _Context:
             offset_of.append(offsets)
             shapes.append((tuple(slots), fill, guards))
         out, images, pos = self.g2.out, self.image_index, self.pos
-        # The stutter graph is dropped once its SCCs are listed.
-        components = _stutter_graph(self.g2, images).components
+        # Each node's same-image successors, dropped once Tarjan returns.
+        components = tarjan(
+            [tuple(v for v in vs if images[v] == a) for vs, a in zip(out, images)]
+        )
         post = [0] * len(out)
         settles = [False] * len(out)
         for comp in components:
@@ -412,7 +399,7 @@ def make_step_term(
     """Build the step term for ``(state, gamma)``; check ``term.valid``."""
     ctx = _Context(mv1, mv2, phi)
     gamma = frozenset(gamma)
-    a = _node(ctx.g1, state)
+    a = ctx.g1.index(state)
     klass = {ctx.g2.nodes[k]: ctx.pos[k] for k in ctx.members[a]}
     if not gamma or not klass.keys() >= gamma:
         raise GammaOutOfClassError(
@@ -429,7 +416,7 @@ def all_step_terms(
     """All valid step terms for one abstract state, in the order of
     :meth:`_Context.build_terms`."""
     ctx = _Context(mv1, mv2, phi)
-    a = _node(ctx.g1, state)
+    a = ctx.g1.index(state)
     return ctx.build_terms(a, ctx.valid_subsets(a))
 
 
@@ -594,7 +581,8 @@ def _check(ctx: _Context, sweep_rng: random.Random | None = None) -> CheckResult
 
     initial = sum(map(len, alive))
     max_class = max(map(len, ctx.members))
-    removals: list[Removal] = []
+    # (a, gamma mask, s_i, t) per removed term: objects only on a refutation
+    removals: list[tuple[int, int, int, int]] = []
 
     def stats(iterations: int) -> CheckStats:
         return CheckStats(
@@ -607,7 +595,11 @@ def _check(ctx: _Context, sweep_rng: random.Random | None = None) -> CheckResult
         )
 
     def failure(a: int, reason: str, iterations: int) -> CheckResult:
-        witness = FailureWitness(state=nodes[a], reason=reason, removals=tuple(removals))
+        subsets = ctx._subsets
+        witness = FailureWitness(nodes[a], reason, tuple(
+            Removal(nodes[b], subsets[b][mask], nodes[s_i], subsets[s_i][t])
+            for b, mask, s_i, t in removals
+        ))
         return CheckResult(False, None, witness, stats(iterations))
 
     for a, survivors in enumerate(alive):
@@ -636,10 +628,7 @@ def _check(ctx: _Context, sweep_rng: random.Random | None = None) -> CheckResult
                     # realisable: some surviving gamma of S_i lies inside t
                     if t not in alive[s_i] and not _has_submask(alive[s_i], t):
                         del survivors[mask]
-                        removals.append(Removal(
-                            nodes[a], ctx._subsets[a][mask],
-                            nodes[s_i], ctx._subsets[s_i][t],
-                        ))
+                        removals.append((a, mask, s_i, t))
                         removed_this_sweep = True
                         break
             if not survivors:
@@ -687,7 +676,7 @@ def witness_path(
     g1 = build_state_graph(family.mv1, ASYNC)
     g2 = build_state_graph(family.mv2, ASYNC)
     images = image_index(family.phi)
-    steps = [_node(g1, state) for state in gamma_path]
+    steps = list(map(g1.index, gamma_path))
     for u, v, a, b in zip(gamma_path, gamma_path[1:], steps, steps[1:]):
         if b not in g1.out[a]:
             raise ValueError(f"{u} -> {v} is not an abstract asynchronous step")

@@ -170,7 +170,7 @@ def validate(model: Mvn) -> list[str]:
         if nb is None or i in miswired:
             continue  # wiring already reported; rows cannot be judged
         if not nb.inputs:
-            if table.rows != {(): 0}:
+            if table.rows.keys() != {()} or not is_level(table.rows[()], 0):
                 diags.append(f"entity {name}: input entity must have the single row () -> 0")
             continue
         expected = set(

@@ -166,11 +166,10 @@ class StateSpace(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(self.decode(range(self._size)[k]))
-        if k < 0:
-            k += self._size
-        if not 0 <= k < self._size:
+        i = k + self._size if k < 0 else k
+        if not 0 <= i < self._size:
             raise IndexError(f"state index {k} out of range")
-        high, low = divmod(k, len(self._low))
+        high, low = divmod(i, len(self._low))
         return self._high[high] + self._low[low]
 
     def __iter__(self) -> Iterator[GlobalState]:
@@ -179,7 +178,7 @@ class StateSpace(Sequence):
     def __contains__(self, state: object) -> bool:
         try:
             self.index(state)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
+        except ValueError:
             return False
         return True
 
@@ -202,10 +201,11 @@ class StateSpace(Sequence):
     def index(self, state: GlobalState) -> int:  # type: ignore[override]
         """The index of ``state``: its mixed-radix number.
 
-        Raises :class:`ValueError` unless ``state`` has one level
-        (:func:`~mvnabs.model.is_level`) of each entity's range.
+        Raises :class:`ValueError` unless ``state`` is a sequence with one
+        level (:func:`~mvnabs.model.is_level`) of each entity's range, so
+        also for ``None``, a number or any other non-sequence.
         """
-        if len(state) != len(self.max_levels):
+        if not isinstance(state, Sequence) or len(state) != len(self.max_levels):
             raise ValueError(f"state {state} does not have {len(self.max_levels)} levels")
         k = 0
         for level, max_level in zip(state, self.max_levels):
@@ -245,10 +245,10 @@ class StateGraph:
     def components(self) -> list[tuple[int, ...]]:
         """The strongly connected components as tuples of node indices.
 
-        Computed by one Tarjan pass (:func:`_tarjan`) on first use and
+        Computed by one Tarjan pass (:func:`tarjan`) on first use and
         kept, so every analysis of the graph shares it.
         """
-        return _tarjan(self.out)
+        return tarjan(self.out)
 
     def edges(self) -> Iterator[tuple[GlobalState, GlobalState]]:
         nodes = list(self.nodes)
@@ -274,7 +274,7 @@ class _Successors(Mapping):
         graph = self._graph
         try:
             k = graph.index(state)
-        except (TypeError, ValueError):
+        except ValueError:
             raise KeyError(state) from None
         return tuple(graph.nodes.decode(graph.out[k]))
 
@@ -389,7 +389,7 @@ class AttractorSet:
         return frozenset(out)
 
 
-def _tarjan(out: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def tarjan(out: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Tarjan's algorithm over index successor lists.
 
     Iterative (explicit recursion stack) so deep graphs cannot hit the
@@ -451,8 +451,7 @@ def strongly_connected_components(graph: StateGraph) -> list[list[GlobalState]]:
     topological order of the condensation.  Callers that need a stable
     order should sort the result.
     """
-    states = list(graph.nodes)  # every state is in one component
-    return [list(map(states.__getitem__, comp)) for comp in graph.components]
+    return [graph.nodes.decode(comp) for comp in graph.components]
 
 
 def _states(graph: StateGraph, nodes: Iterable[int]) -> frozenset[GlobalState]:

@@ -201,11 +201,18 @@ def _lassos(graph: StateGraph) -> TraceSet:
 
 
 def is_trace_of(graph: StateGraph, trace: LassoTrace) -> bool:
-    """Check that a lasso is a maximal run of the given graph."""
-    seq = trace.prefix + trace.loop
+    """Check that a lasso is a maximal run of the given graph.
+
+    A lasso with a state outside the graph's state space is not.
+    """
+    try:
+        seq = list(map(graph.index, trace.prefix + trace.loop))
+    except ValueError:
+        return False
+    out = graph.out
     for a, b in zip(seq, seq[1:]):
-        if b not in graph.succ[a]:
+        if b not in out[a]:
             return False
     if trace.is_finite:
-        return bool(seq) and not graph.succ[seq[-1]]
-    return trace.loop[0] in graph.succ[seq[-1]]
+        return bool(seq) and not out[seq[-1]]
+    return seq[len(trace.prefix)] in out[seq[-1]]

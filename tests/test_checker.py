@@ -125,8 +125,9 @@ def test_concrete_class_examples(rho_cro, phi_trp):
 
 
 def test_concrete_class_rejects_foreign_states(rho_cro):
-    # The abstract Cro range is 0..1, and levels are ints.
-    for state in ((0, 2), (0.5, 0), (0, 1.0), ("0", 1), (0,), (True, False), (True, 0)):
+    # The abstract Cro range is 0..1, levels are ints, and a state is a sequence.
+    states = ((0, 2), (0.5, 0), (0, 1.0), ("0", 1), (0,), (True, False), (True, 0), None, 5)
+    for state in states:
         with pytest.raises(ValueError, match="outside the state space|does not have 2 levels"):
             concrete_class(rho_cro, state)
 
@@ -734,27 +735,31 @@ def test_graphs_freed_by_refcount(monkeypatch, apl2, apl2_bad, pl2, rho_cro):
         gc.enable()
 
 
-def test_stutter_graph_freed_after_the_sweep(monkeypatch, apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
-    graphs = []
-    stutter_graph = checker._stutter_graph
+def test_context_keeps_only_its_documented_fields(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    # No same-image table outlives the sweep; the refcount tests guard the graphs.
+    fields = {
+        "mv1", "mv2", "phi", "g1", "g2", "image_index", "members", "pos",
+        "_subsets", "settles", "layouts",
+    }
+    for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)):
+        assert vars(_Context(mv1, mv2, phi)).keys() == fields
 
-    def recording_stutter(*args):
-        graph = stutter_graph(*args)
-        graphs.append(weakref.ref(graph))
-        return graph
 
-    monkeypatch.setattr(checker, "_stutter_graph", recording_stutter)
-    gc.collect()
-    gc.disable()
-    try:
-        for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)):
-            # The family is never read, so the result keeps its context.
-            result = check_asyn_abs(mv1, mv2, phi)
-            assert result.holds and graphs[-1]() is None
-            del result
-        assert len(graphs) == 2
-    finally:
-        gc.enable()
+def test_removals_built_only_for_a_refutation(monkeypatch, atrp, mtrp, phi_trp):
+    built = []
+
+    class CountingRemoval(Removal):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(checker, "Removal", CountingRemoval)
+    result = check_asyn_abs(atrp, mtrp, phi_trp)
+    assert result.holds and result.stats.removed_terms == 11 and built == []
+    result = check_asyn_abs(enumerate_candidates(mtrp, phi_trp).models[2], mtrp, phi_trp)
+    assert not result.holds and result.stats.removed_terms == 5
+    assert built == list(result.witness.removals) and len(built) == 5
+    assert all(type(r) is CountingRemoval for r in built)
 
 
 def test_holding_results_freed_by_refcount(monkeypatch, apl2, pl2, rho_cro, atrp, mtrp, phi_trp):

@@ -27,9 +27,9 @@ from mvnabs import (
 from mvnabs.abstraction import AbstractionMapping, StateMapping
 from mvnabs.checker import (
     _Context,
-    _stutter_graph,
     check_asyn_abs,
     concrete_class,
+    consec_closure,
     witness_path,
 )
 from mvnabs.model import LEVEL_CAP, Entity, Mvn, Neighbourhood, NextStateTable
@@ -229,7 +229,6 @@ def checker_instances():
 def test_closures_and_settleability_match_definitions():
     for mv1, mv2, phi in checker_instances():
         ctx = _Context(mv1, mv2, phi)
-        stutter = _stutter_graph(ctx.g2, ctx.image_index)
         image = dict(zip(ctx.g2.nodes, map(ctx.g1.nodes.__getitem__, ctx.image_index)))
         g = nx_graph(ctx.g2)
         same_image = g.edge_subgraph(
@@ -246,7 +245,7 @@ def test_closures_and_settleability_match_definitions():
             layout = ctx.layouts[a]
             unsettleable = 0
             for j, u in enumerate(klass[state]):
-                closure = reachable_set(stutter, u)
+                closure = consec_closure(mv2, phi, u)
                 expected = {u} | (nx.descendants(same_image, u) if u in same_image else set())
                 assert closure == expected
                 settles = (

@@ -173,8 +173,9 @@ def test_bool_input_indices_reported():
 def test_input_entity_with_a_real_row_reported():
     m = mtrp()
     i = m.entity_index("TrpExt")
-    # A row keyed by input levels, and the placeholder row with another value.
-    for rows in ({(0,): 0, (1,): 1}, {(): 1}):
+    # A row keyed by input levels, and the placeholder row with another
+    # value; {(): False} and {(): 0.0} both equal {(): 0}.
+    for rows in ({(0,): 0, (1,): 1}, {(): 1}, {(): False}, {(): 0.0}):
         tables = list(m.tables)
         tables[i] = NextStateTable(i, rows)
         assert validate(_rewired(m, tables=tables)) == [

@@ -325,7 +325,7 @@ def test_state_space_decodes_every_index(max_levels):
     assert space.decode(reversed(range(n))) == states[::-1]
     assert [space.index(space[k]) for k in range(n)] == list(range(n))
     for k in (n, n + 1, -n - 1):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=f"state index {k} out of range"):
             space[k]
     assert states[-1] in space
     assert tuple(m + 1 for m in max_levels) not in space
@@ -349,7 +349,7 @@ def test_sync_build_shares_one_tuple_per_successor(mtrp):
     assert len({id(vs) for vs in graph.out}) == len(set(graph.out)) < len(graph.out)
 
 
-@pytest.mark.parametrize("state", [(0.5, 0), (1, 2.0), (True, 0), (1, False)])
+@pytest.mark.parametrize("state", [(0.5, 0), (1, 2.0), (True, 0), (1, False), None, 5])
 def test_non_integer_levels_are_outside_the_space(pl2, apl2, rho_cro, state):
     graph = build_state_graph(pl2, ASYNC)
     assert state not in graph.nodes

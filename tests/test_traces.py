@@ -218,6 +218,17 @@ def test_is_trace_of_rejects_a_non_edge(pl2):
     assert not is_trace_of(graph, LassoTrace(((0, 0),), ((0, 2), (0, 1))))
 
 
+def test_is_trace_of_rejects_states_outside_the_space(pl2):
+    graph = build_state_graph(pl2, ASYNC)
+    # A foreign state in the prefix, in the loop, or after a state of the space.
+    for trace in (
+        LassoTrace(((5, 5),), ()),
+        LassoTrace((), ((9, 9),)),
+        LassoTrace(((0, 1), (9, 9)), ()),
+    ):
+        assert not is_trace_of(graph, trace)
+
+
 def test_async_traces_edgeless_model():
     model = parse_model(
         "mvn Id\nentity X : 0..2\nneighbourhood X = [X]\n"
