@@ -232,7 +232,9 @@ def check_sync_abstraction(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
     Synchronous trace sets are always finite (one trace per initial
     state), so this is a direct set inclusion of canonical lassos:
     every trace of ``mv1`` must appear among the abstracted traces of
-    ``mv2``.
+    ``mv2``.  Both sets come from :func:`~mvnabs.traces.sync_traces`, so
+    a model with more than :data:`~mvnabs.traces.MAX_TRACES` states on
+    either side raises :class:`~mvnabs.errors.TooManyTracesError`.
     """
     require_mapping_fits(phi, mv1, mv2)
     return sync_traces(mv1) <= abstract_trace_set(phi, sync_traces(mv2))

@@ -472,9 +472,15 @@ class StepTermFamily:
     terms: Mapping[GlobalState, dict[StateSet, StepTerm]]
 
     def check_closed(self) -> None:
-        """Raise unless every set is nonempty and closed under step terms."""
+        """Raise unless every set is nonempty and closed under step terms.
+
+        Every state of the abstract model's state space is walked, in
+        index order, and a state the family has no key for counts as an
+        empty set, so :class:`NotClosedError` names it too.
+        """
         terms = dict(self.terms)  # one read of a lazily built family
-        for state, by_gamma in terms.items():
+        for state in StateSpace(self.mv1.max_levels):
+            by_gamma = terms.get(state)
             if not by_gamma:
                 raise NotClosedError(f"no step terms left for abstract state {state}")
             for term in by_gamma.values():
@@ -668,11 +674,17 @@ def witness_path(
     pairs (concrete node, position on ``gamma_path``), where a step onto
     the current state's class keeps the position and a step onto the
     next state's class advances it.
+
+    The mapping is checked against both models first
+    (:func:`require_mapping_fits`), then the family must be closed
+    (:meth:`StepTermFamily.check_closed`, which raises
+    :class:`NotClosedError` also for a family that lacks an abstract
+    state).
     """
     if not gamma_path:
         raise ValueError("the abstract path must contain at least one state")
-    family.check_closed()
     require_mapping_fits(family.phi, family.mv1, family.mv2)
+    family.check_closed()
     g1 = build_state_graph(family.mv1, ASYNC)
     g2 = build_state_graph(family.mv2, ASYNC)
     images = image_index(family.phi)

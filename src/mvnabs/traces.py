@@ -22,7 +22,7 @@ criterion satisfied, every cycle is deterministic, so all branching
 happens on loop-free prefixes.  The lassos are then found by one pass
 over the components, sinks first (:func:`_lassos`), and counted by the
 same recursion (:func:`trace_count`) before they are built: a trace set
-above :data:`MAX_TRACES` is refused.
+above :data:`MAX_TRACES` is refused, under either discipline.
 """
 
 from __future__ import annotations
@@ -34,15 +34,20 @@ from .errors import InfiniteTraceSetError, TooManyTracesError
 from .model import GlobalState, Mvn
 from .semantics import ASYNC, SYNC, StateGraph, build_state_graph
 
-# The budget of asynchronous trace enumeration, in lassos.  The fold
-# keeps about 233 bytes per lasso and peaks at 258 (tracemalloc, 9
-# Boolean entities that each rise to 1: 986,410 lassos of up to 10
-# states, 3.9 s on a 2-vCPU Xeon), and longer lassos cost 8 bytes more
-# per state.  `mvnabs traces` peaks at about 1.1 KB per lasso with or
-# without `--json`, in the labelled record that both forms read (the
-# same model on 8 entities: 118 MB for 23.7 MB of JSON, which is
-# streamed), so a trace set at the budget takes near 0.3 GB there and
-# about 70 MB in the fold.
+# The budget of trace enumeration under either discipline, in lassos.
+# Asynchronous: the fold keeps about 233 bytes per lasso and peaks at
+# 258 (tracemalloc, 9 Boolean entities that each rise to 1: 986,410
+# lassos of up to 10 states, 3.9 s on a 2-vCPU Xeon), and longer
+# lassos cost 8 bytes more per state.  `mvnabs traces` peaks at about
+# 1.1 KB per lasso with or without `--json`, in the labelled record
+# that both forms read (the same model on 8 entities: 118 MB for
+# 23.7 MB of JSON, which is streamed), so a trace set at the budget
+# takes near 0.3 GB there and about 70 MB in the fold.  Synchronous:
+# one lasso per state, and `sync_traces` peaks at 0.54-0.65 KB per
+# lasso, graph build included (tracemalloc, seeded random ternary
+# networks of 9 and 10 entities, lassos of 9-29 states on average), so
+# a set at the budget takes near 0.17 GB, where the 2^20 states of
+# `MAX_STATES` would take near 0.65 GB.
 MAX_TRACES = 1 << 18
 
 
@@ -108,9 +113,11 @@ def sync_traces(model: Mvn) -> TraceSet:
 
     Every state of the synchronous graph has exactly one successor, so
     each state starts one lasso: its run up to the cycle it falls into,
-    then that cycle (:func:`_lassos`).
+    then that cycle (:func:`_lassos`).  A model with more than
+    :data:`MAX_TRACES` states is refused before any lasso is built
+    (:class:`TooManyTracesError`).
     """
-    return _lassos(build_state_graph(model, SYNC))
+    return _lassos(_within_budget(build_state_graph(model, SYNC)))
 
 
 def trace_set_is_finite(graph: StateGraph) -> bool:
@@ -139,19 +146,27 @@ def async_traces(model: Mvn, graph: StateGraph | None = None) -> TraceSet:
         raise InfiniteTraceSetError(
             f"model {graph.name}: asynchronous trace set is infinite"
         )
+    return _lassos(_within_budget(graph))
+
+
+def _within_budget(graph: StateGraph) -> StateGraph:
+    """``graph``, unless its :func:`trace_count` exceeds :data:`MAX_TRACES`."""
     count = trace_count(graph)
     if count > MAX_TRACES:
+        discipline = "asynchronous" if graph.semantics == ASYNC else "synchronous"
         raise TooManyTracesError(
-            f"model {graph.name}: {count} asynchronous traces exceed "
+            f"model {graph.name}: {count} {discipline} traces exceed "
             f"the budget of {MAX_TRACES}"
         )
-    return _lassos(graph)
+    return graph
 
 
 def trace_count(graph: StateGraph) -> int:
-    """How many lassos :func:`async_traces` returns, without building them.
+    """How many lassos :func:`_lassos` builds, without building them.
 
-    Needs a finite trace set.  The recursion of :func:`_lassos`, on
+    Needs a finite trace set: a synchronous graph, where the count is
+    the number of states, or an asynchronous one that passes
+    :func:`trace_set_is_finite`.  The recursion of :func:`_lassos`, on
     counts: a state with no successors, or inside a nontrivial
     component (where the finiteness criterion makes the run
     deterministic), starts one lasso; any other state starts as many as

@@ -29,6 +29,7 @@ from mvnabs import (
     make_step_term,
     parse_mapping,
     parse_model,
+    state_space_size,
     witness_path,
 )
 from mvnabs import checker
@@ -322,6 +323,13 @@ def test_check_holds_on_lambda_fixture(apl2, pl2, rho_cro):
     result.family.check_closed()
 
 
+def test_holding_family_reads_as_a_dict(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)):
+        terms = check_asyn_abs(mv1, mv2, phi).family.terms
+        assert len(terms) == state_space_size(mv1)
+        assert repr(terms) == repr(dict(terms))
+
+
 def test_check_refutes_mutated_fixture(apl2_bad, pl2, rho_cro):
     result = check_asyn_abs(apl2_bad, pl2, rho_cro)
     assert not result.holds
@@ -528,6 +536,16 @@ def test_check_closed_rejects_an_empty_family(apl2, pl2, rho_cro):
     emptied[(0, 0)] = {}
     with pytest.raises(NotClosedError, match=r"no step terms left for abstract state \(0, 0\)"):
         StepTermFamily(family.mv1, family.mv2, family.phi, emptied).check_closed()
+
+
+def test_empty_family_is_not_closed(apl2, pl2, rho_cro):
+    # No key at all counts as an empty set, for the first state walked.
+    empty = StepTermFamily(apl2, pl2, rho_cro, {})
+    message = r"no step terms left for abstract state \(0, 0\)"
+    with pytest.raises(NotClosedError, match=message):
+        empty.check_closed()
+    with pytest.raises(NotClosedError, match=message):
+        witness_path(empty, ((0, 0),))
 
 
 def _reference_sweep(phi, terms, sweep_rng=None):

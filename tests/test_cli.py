@@ -466,6 +466,22 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     assert str(bad) in captured.err and "UTF-8" in captured.err
 
 
+def test_byte_order_mark_is_skipped(files, tmp_path, capsys):
+    bom = {}
+    for name in ("PL2.mvn", "APL2.mvn", "cro.map"):
+        bom[name] = tmp_path / f"bom-{name}"
+        bom[name].write_bytes(b"\xef\xbb\xbf" + Path(files[name]).read_bytes())
+    assert main(["validate", str(bom["PL2.mvn"])]) == 0
+    assert main(["validate", str(bom["APL2.mvn"])]) == 0
+    assert capsys.readouterr().out == "PL2: ok (2 entities)\nAPL2: ok (2 entities)\n"
+    argv = ["check", "--json"]
+    assert main([*argv, *(str(bom[n]) for n in ("APL2.mvn", "PL2.mvn", "cro.map"))]) == 0
+    with_bom = capsys.readouterr()
+    assert main([*argv, *(files[n] for n in ("APL2.mvn", "PL2.mvn", "cro.map"))]) == 0
+    assert with_bom == capsys.readouterr()
+    assert json.loads(with_bom.out)["holds"] is True
+
+
 def test_abstract_traces_infinite_exits_2(files, tmp_path, capsys):
     amap = tmp_path / "b.map"
     amap.write_text("A: identity\nB: 0->0,1->0\n", encoding="utf-8")

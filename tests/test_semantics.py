@@ -335,6 +335,18 @@ def test_state_space_decodes_every_index(max_levels):
     assert space != tuple(states)
 
 
+def test_state_space_repr():
+    assert repr(semantics.StateSpace((1, 2))) == "StateSpace((1, 2))"
+    assert repr(semantics.StateSpace([2])) == "StateSpace((2,))"
+
+
+@pytest.mark.parametrize("discipline", [ASYNC, SYNC])
+def test_successor_view_lists_every_state(pl2, discipline):
+    graph = build_state_graph(pl2, discipline)
+    assert len(graph.succ) == len(graph.nodes) == 6
+    assert list(graph.succ) == list(graph.nodes)
+
+
 @pytest.mark.parametrize("discipline", [ASYNC, SYNC])
 def test_equal_builds_compare_equal(discipline):
     model = random_model(random.Random(3))

@@ -15,6 +15,7 @@ from mvnabs import (
     attractors,
     build_state_graph,
     canonicalize,
+    check_sync_abstraction,
     parse_model,
     state_space_size,
     sync_traces,
@@ -193,6 +194,29 @@ def test_trace_budget_is_checked_before_the_walk(monkeypatch):
     monkeypatch.setattr(traces, "_lassos", walk)
     with pytest.raises(TooManyTracesError, match="PL2: 10 asynchronous traces exceed"):
         async_traces(pl2())
+
+
+def test_sync_trace_budget_is_checked_before_the_walk(monkeypatch):
+    lassos = traces._lassos
+
+    def walk(graph):
+        # APL2's 4 lassos fit the budget; PL2's 6 must not be walked.
+        assert graph.name != "PL2", "the traces of PL2 were walked"
+        return lassos(graph)
+
+    monkeypatch.setattr(traces, "MAX_TRACES", 5)
+    monkeypatch.setattr(traces, "_lassos", walk)
+    message = "^model PL2: 6 synchronous traces exceed the budget of 5$"
+    with pytest.raises(TooManyTracesError, match=message):
+        sync_traces(pl2())
+    with pytest.raises(TooManyTracesError, match=message):
+        check_sync_abstraction(apl2(), pl2(), rho_cro())
+    monkeypatch.setattr(traces, "MAX_TRACES", 3)
+    with pytest.raises(TooManyTracesError, match="^model APL2: 4 synchronous traces exceed"):
+        check_sync_abstraction(apl2(), pl2(), rho_cro())
+    monkeypatch.setattr(traces, "MAX_TRACES", 6)
+    monkeypatch.setattr(traces, "_lassos", lassos)
+    assert sync_traces(pl2()) == reference_lassos(build_state_graph(pl2(), SYNC))
 
 
 def test_oracle_reports_trace_budget_as_unsupported(monkeypatch):
