@@ -49,7 +49,9 @@ def state_mapping_problem(table: tuple[int, ...]) -> str | None:
     m = len(table) - 1
     if m < 2:
         return f"cannot compress a range of size {m + 1}"
-    n = max(table)
+    # The maximum of the ints alone: max() cannot compare None or a str
+    # with an int, and the level test below reports such an entry.
+    n = max((v for v in table if type(v) is int), default=0)
     for v in table:
         if not is_level(v, n):
             # Below the maximum, an int that is not a level is negative.

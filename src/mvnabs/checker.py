@@ -402,8 +402,12 @@ def make_step_term(
     a = ctx.g1.index(state)
     klass = {ctx.g2.nodes[k]: ctx.pos[k] for k in ctx.members[a]}
     if not gamma or not klass.keys() >= gamma:
+        try:
+            shown = sorted(gamma)
+        except TypeError:  # a member that is not a state need not compare
+            shown = sorted(gamma, key=repr)
         raise GammaOutOfClassError(
-            f"{sorted(gamma)} is not a nonempty subset of the class of {state}"
+            f"{shown} is not a nonempty subset of the class of {state}"
         )
     mask = sum(1 << klass[g] for g in gamma)
     layout = ctx.layouts[a]
@@ -476,7 +480,10 @@ class StepTermFamily:
 
         Every state of the abstract model's state space is walked, in
         index order, and a state the family has no key for counts as an
-        empty set, so :class:`NotClosedError` names it too.
+        empty set, so :class:`NotClosedError` names it too.  Closure is
+        tested over the successor sets stored in each term, which are
+        trusted: they are not recomputed from the models, nor are the
+        terms' validity and gammas tested, so a made-up family can pass.
         """
         terms = dict(self.terms)  # one read of a lazily built family
         for state in StateSpace(self.mv1.max_levels):
@@ -679,7 +686,9 @@ def witness_path(
     (:func:`require_mapping_fits`), then the family must be closed
     (:meth:`StepTermFamily.check_closed`, which raises
     :class:`NotClosedError` also for a family that lacks an abstract
-    state).
+    state).  A family that passes it on stored successor sets that are
+    not the derived sets may still lift no path: that raises
+    :class:`NotClosedError` too.
     """
     if not gamma_path:
         raise ValueError("the abstract path must contain at least one state")
@@ -707,5 +716,6 @@ def witness_path(
     for pair in bfs(parents, successors):
         if pair[1] == last:
             return tuple(g2.nodes[k] for k, _ in path_to(parents, pair))
-    # Unreachable for a closed family: its terms realise every step.
+    # Reached when a family passes check_closed on successor sets that
+    # are not the derived sets, so its gammas realise no lift of the path.
     raise NotClosedError(f"no concrete path from the family's gammas lifts {gamma_path}")

@@ -56,8 +56,9 @@ class InfiniteTraceSetError(MvnError):
 
 
 class UnsupportedError(MvnError):
-    """The brute-force oracle cannot decide this instance (one of the
-    trace sets is infinite)."""
+    """The brute-force oracle cannot decide this instance: the concrete
+    trace set is infinite, or a trace set holds more than
+    :data:`~mvnabs.traces.MAX_TRACES` lassos."""
 
 
 class GammaOutOfClassError(MvnError):

@@ -167,7 +167,7 @@ def parse_model(text: str, *, check: bool = True) -> Mvn:
                 raise ParseError(
                     f"entity {e.name}: input entities (empty neighbourhood) "
                     "must not declare a table",
-                    table_rows[e.name][0][0] if table_rows[e.name] else entity_lines[e.name],
+                    table_lines[e.name],
                 )
             tables.append(NextStateTable(i, {(): 0}))
             continue

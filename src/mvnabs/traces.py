@@ -88,7 +88,6 @@ def _primitive_root(loop: tuple[GlobalState, ...]) -> tuple[GlobalState, ...]:
     for d in range(1, n + 1):
         if n % d == 0 and loop == loop[:d] * (n // d):
             return loop[:d]
-    return loop
 
 
 def canonicalize(trace: LassoTrace) -> LassoTrace:

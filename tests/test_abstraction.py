@@ -144,6 +144,8 @@ def test_all_identity_mapping_is_impossible():
     ((0, -1, 1), "negative abstract level"),
     ((0, True, 1), "True is not a level"),
     ((0, 1.0, 1), "1.0 is not a level"),
+    ((0, None, 1), "None is not a level"),
+    ((0, "a", 1), "'a' is not a level"),
 ])
 def test_state_mapping_rejects_bad_tables(table, message):
     with pytest.raises(MappingError, match=message):

@@ -219,6 +219,8 @@ def test_step_term_gamma_must_be_in_class(apl2, pl2, rho_cro):
         make_step_term(apl2, pl2, rho_cro, (0, 0), {(1, 0)})
     with pytest.raises(GammaOutOfClassError):
         make_step_term(apl2, pl2, rho_cro, (0, 0), set())
+    with pytest.raises(GammaOutOfClassError, match=r"^\['x', \(0, 0\)\] is not"):
+        make_step_term(apl2, pl2, rho_cro, (0, 0), {(0, 0), "x"})
 
 
 def test_all_step_terms_enumerates_subsets(apl2, pl2, rho_cro):
@@ -377,6 +379,46 @@ def test_order_independence_on_random_instances():
         if base.holds:
             expected = {s: set(v) for s, v in base.family.terms.items()}
             assert all(snap == expected for snap in snapshots)
+
+
+def _renumbered(model, order):
+    """``model`` with old entity ``order[k]`` as entity ``k``: entities,
+    neighbourhoods (their input indices too) and tables move together."""
+    new = {old: k for k, old in enumerate(order)}
+    return Mvn(
+        model.name,
+        tuple(model.entities[old] for old in order),
+        tuple(
+            Neighbourhood(k, tuple(new[j] for j in model.neighbourhoods[old].inputs))
+            for k, old in enumerate(order)
+        ),
+        tuple(NextStateTable(k, model.tables[old].rows) for k, old in enumerate(order)),
+    )
+
+
+def test_entity_permutation_keeps_the_verdicts(apl2, pl2, rho_cro, mtrp, phi_trp):
+    triples = [(apl2, pl2, rho_cro)]
+    triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
+    rng = random.Random(3)
+    triples += [random_instance(rng) for _ in range(400)]
+    order_rng = random.Random(4)
+    for mv1, mv2, phi in triples:
+        order = list(range(len(mv2.entities)))
+        while order == sorted(order):
+            order_rng.shuffle(order)
+        slots = tuple(
+            None if phi.slots[old] is None else StateMapping(k, phi.slots[old].table)
+            for k, old in enumerate(order)
+        )
+        renumbered = (
+            _renumbered(mv1, order),
+            _renumbered(mv2, order),
+            AbstractionMapping(tuple(phi.source_max_levels[old] for old in order), slots),
+        )
+        base, other = check_asyn_abs(mv1, mv2, phi), check_asyn_abs(*renumbered)
+        assert other.holds == base.holds
+        assert other.stats.initial_terms == base.stats.initial_terms
+        assert forward_holds(*renumbered) == forward_holds(mv1, mv2, phi)
 
 
 def test_class_size_guard():
@@ -546,6 +588,27 @@ def test_empty_family_is_not_closed(apl2, pl2, rho_cro):
         empty.check_closed()
     with pytest.raises(NotClosedError, match=message):
         witness_path(empty, ((0, 0),))
+
+
+def test_witness_path_may_fail_on_a_family_that_passes_check_closed(mtrp, phi_trp):
+    # check_closed trusts the successor sets stored in each term.  On a
+    # refuted candidate, a made-up family of whole classes, with whole
+    # classes as successor sets, passes it, yet one path does not lift;
+    # a check_closed that recomputes the sets would refuse it instead.
+    mv1 = enumerate_candidates(mtrp, phi_trp).models[2]
+    assert not check_asyn_abs(mv1, mtrp, phi_trp).holds
+    g1 = build_state_graph(mv1, ASYNC)
+    terms = {}
+    for state in g1.nodes:
+        gamma = concrete_class(phi_trp, state)
+        successors = tuple(
+            (s_i, concrete_class(phi_trp, s_i)) for s_i in sorted(g1.succ[state]) if s_i != state
+        )
+        terms[state] = {gamma: StepTerm(state, gamma, successors, True)}
+    made_up = StepTermFamily(mv1, mtrp, phi_trp, terms)
+    path = ((1, 0, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1))
+    with pytest.raises(NotClosedError):
+        witness_path(made_up, path)
 
 
 def _reference_sweep(phi, terms, sweep_rng=None):

@@ -90,9 +90,12 @@ def test_duplicate_expanded_row_rejected():
 
 
 def test_input_entity_table_rejected():
-    text = MTRP_SOURCE + "table TrpExt:\n  -> 0\n"
-    with pytest.raises(ParseError, match="must not declare a table"):
-        parse_model(text)
+    # Reported at the table's own header line, with or without rows.
+    header_line = MTRP_SOURCE.count("\n") + 1
+    for rows in ["", "  -> 0\n"]:
+        with pytest.raises(ParseError, match="must not declare a table") as err:
+            parse_model(MTRP_SOURCE + "table TrpExt:\n" + rows)
+        assert err.value.line == header_line
 
 
 def test_parse_error_carries_line():
