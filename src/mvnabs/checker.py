@@ -36,8 +36,13 @@ abstraction is refuted; if a sweep removes nothing, what remains is a
 family that is nonempty everywhere and closed under step terms, which
 certifies trace inclusion.  The surviving family at the fixpoint is the
 greatest closed subfamily, so the verdict does not depend on sweep
-order.  Successor sets are a pure function of (S, Gamma), so terms are
-keyed by that pair and the closure test scans one family.
+order; the sweeps have one, abstract states in index order and each
+state's gammas in the order of their ascending member lists.
+Successor sets are a pure function of (S, Gamma), so terms are keyed by
+that pair and the closure test scans one family.
+:meth:`StepTermFamily.check_closed` rebuilds every term it tests from
+(S, Gamma) by the one rule of :func:`make_step_term`, so the successor
+sets and validity a term carries are never trusted.
 
 Each check computes its tables once, on node indices, as flat arrays:
 the abstract index of every concrete node
@@ -74,8 +79,9 @@ of its stutter successors, and it can settle when it is a dead end,
 lies on a same-image cycle or has a stutter successor that can settle.
 One pass over the stutter SCCs in Tarjan's order (sinks first)
 computes both for every node, with no closure built.
-:func:`witness_path` reads none of these tables; it lifts a path by
-one breadth-first search on the graph.
+:func:`witness_path` reads only the graphs and image index of the
+context that its :meth:`~StepTermFamily.check_closed` built; it lifts a
+path by one breadth-first search on the concrete graph.
 
 :func:`forward_holds` reaches the same verdict by forward subset
 construction on the same tables, as antichain-style inclusion checks do
@@ -92,8 +98,7 @@ no class size is refused.
 
 from __future__ import annotations
 
-import random
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .abstraction import (
@@ -315,6 +320,31 @@ class _Context:
             invalid_reason=reason,
         )
 
+    def step_terms(self, state: GlobalState, gammas: Iterable) -> Iterator[StepTerm]:
+        """The step term of ``(state, gamma)`` for each of ``gammas``, in
+        turn: the one rule that makes a ``StepTerm`` of a given pair.
+
+        Raises :class:`GammaOutOfClassError` for a gamma that is not a
+        nonempty subset of the class of ``state``.
+        """
+        a = self.g1.index(state)
+        klass = {self.g2.nodes[k]: self.pos[k] for k in self.members[a]}
+        layout = self.layouts[a]
+        for gamma in gammas:
+            try:  # one bit per distinct member, so the sum is their OR
+                mask = sum({1 << klass[g] for g in gamma})
+            except (KeyError, TypeError):  # a member outside the class or unhashable
+                mask = 0
+            if not mask:
+                try:
+                    shown = sorted(gamma)
+                except TypeError:  # a member that is not a state need not compare
+                    shown = sorted(gamma, key=repr)
+                raise GammaOutOfClassError(
+                    f"{shown} is not a nonempty subset of the class of {state}"
+                )
+            yield self._term(a, layout, mask, _derived(layout, mask))
+
     def valid_subsets(self, a: int) -> dict[int, int]:
         """``{gamma mask: packed derived sets}`` of the valid terms of
         abstract node ``a``, in the order of the gammas' ascending
@@ -341,9 +371,10 @@ class _Context:
         }
 
     def build_terms(self, a: int, terms: dict[int, int]) -> list[StepTerm]:
-        """``StepTerm`` objects for ``{gamma mask: packed derived sets}``
-        in sweep order, listed by size and then lexicographically (a
-        stable sort by size, as each size is already lexicographic).
+        """``StepTerm`` objects for ``{gamma mask: packed derived sets}``,
+        listed by size and then lexicographically: a stable sort by size
+        of the sweep order, the order of the gammas' ascending member
+        lists, as each size is already lexicographic in it.
         """
         layout = self.layouts[a]
         return [
@@ -397,28 +428,15 @@ def make_step_term(
     mv1: Mvn, mv2: Mvn, phi: AbstractionMapping, state: GlobalState, gamma
 ) -> StepTerm:
     """Build the step term for ``(state, gamma)``; check ``term.valid``."""
-    ctx = _Context(mv1, mv2, phi)
-    gamma = frozenset(gamma)
-    a = ctx.g1.index(state)
-    klass = {ctx.g2.nodes[k]: ctx.pos[k] for k in ctx.members[a]}
-    if not gamma or not klass.keys() >= gamma:
-        try:
-            shown = sorted(gamma)
-        except TypeError:  # a member that is not a state need not compare
-            shown = sorted(gamma, key=repr)
-        raise GammaOutOfClassError(
-            f"{shown} is not a nonempty subset of the class of {state}"
-        )
-    mask = sum(1 << klass[g] for g in gamma)
-    layout = ctx.layouts[a]
-    return ctx._term(a, layout, mask, _derived(layout, mask))
+    return next(_Context(mv1, mv2, phi).step_terms(state, [gamma]))
 
 
 def all_step_terms(
     mv1: Mvn, mv2: Mvn, phi: AbstractionMapping, state: GlobalState
 ) -> list[StepTerm]:
-    """All valid step terms for one abstract state, in the order of
-    :meth:`_Context.build_terms`."""
+    """All valid step terms for one abstract state, by size and then
+    lexicographically (:meth:`_Context.build_terms`), not in the sweep
+    order of ascending member lists."""
     ctx = _Context(mv1, mv2, phi)
     a = ctx.g1.index(state)
     return ctx.build_terms(a, ctx.valid_subsets(a))
@@ -478,27 +496,46 @@ class StepTermFamily:
     def check_closed(self) -> None:
         """Raise unless every set is nonempty and closed under step terms.
 
-        Every state of the abstract model's state space is walked, in
-        index order, and a state the family has no key for counts as an
-        empty set, so :class:`NotClosedError` names it too.  Closure is
-        tested over the successor sets stored in each term, which are
-        trusted: they are not recomputed from the models, nor are the
-        terms' validity and gammas tested, so a made-up family can pass.
+        The terms are rebuilt from the models, one per gamma key of the
+        family, by the rule of :func:`make_step_term`; the ``successors``
+        and ``valid`` stored in them are never read.  A gamma outside its
+        class raises :class:`GammaOutOfClassError`.  Every abstract state
+        is walked in index order, and :class:`NotClosedError` names the
+        first state with no gamma (a state the family has no key for
+        counts as empty), the first invalid term (with its
+        ``invalid_reason``) or the first rebuilt successor set that holds
+        no gamma of its state.
         """
-        terms = dict(self.terms)  # one read of a lazily built family
-        for state in StateSpace(self.mv1.max_levels):
-            by_gamma = terms.get(state)
-            if not by_gamma:
-                raise NotClosedError(f"no step terms left for abstract state {state}")
-            for term in by_gamma.values():
-                for s_i, t in term.successors:
-                    # realisable: some gamma of S_i lies inside t
-                    family = terms.get(s_i, {})
-                    if t not in family and not any(gamma <= t for gamma in family):
-                        raise NotClosedError(
-                            f"term for {state} needs a realisation of {s_i} "
-                            f"inside {sorted(t)}, and the family has none"
-                        )
+        _closed_context(self)
+
+
+def _closed_context(family: StepTermFamily) -> _Context:
+    """:meth:`StepTermFamily.check_closed` on a context built for it,
+    returned when the family is closed."""
+    ctx = _Context(family.mv1, family.mv2, family.phi)
+    stored = dict(family.terms)  # one read of a lazily built family
+    rebuilt: dict[GlobalState, list[StepTerm]] = {}
+
+    def terms_of(state: GlobalState) -> list[StepTerm]:
+        if state not in rebuilt:
+            rebuilt[state] = list(ctx.step_terms(state, stored.get(state, ())))
+        return rebuilt[state]
+
+    for state in ctx.g1.nodes:
+        terms = terms_of(state)
+        if not terms:
+            raise NotClosedError(f"no step terms left for abstract state {state}")
+        for term in terms:
+            if not term.valid:
+                raise NotClosedError(term.invalid_reason)
+            for s_i, t in term.successors:
+                # realisable: some gamma of S_i lies inside t
+                if not any(u.gamma <= t for u in terms_of(s_i)):
+                    raise NotClosedError(
+                        f"term for {state} needs a realisation of {s_i} "
+                        f"inside {sorted(t)}, and the family has none"
+                    )
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -558,13 +595,7 @@ class CheckResult:
     stats: CheckStats
 
 
-def check_asyn_abs(
-    mv1: Mvn,
-    mv2: Mvn,
-    phi: AbstractionMapping,
-    *,
-    sweep_rng: random.Random | None = None,
-) -> CheckResult:
+def check_asyn_abs(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> CheckResult:
     """Decide whether ``mv1`` abstracts ``mv2`` asynchronously under ``phi``.
 
     Initialises every abstract state's family with all its valid step
@@ -573,16 +604,16 @@ def check_asyn_abs(
     derived set T(S_i).  Refuted the moment any family empties
     (including at initialisation); proved at the first sweep with no
     removals.  The verdict and the surviving family are independent of
-    sweep order; ``sweep_rng`` randomises the order and exists so tests
-    can demonstrate exactly that.  The sweeps run on bitmasks (see the
-    module docstring), and the check itself builds no ``StepTerm``: the
-    family returned when the abstraction holds builds its terms the
-    first time they are read.
+    sweep order; the sweeps visit the abstract states in index order and
+    each state's gammas in the order of their ascending member lists.
+    They run on bitmasks (see the module docstring), and the check itself
+    builds no ``StepTerm``: the family returned when the abstraction
+    holds builds its terms the first time they are read.
     """
-    return _check(_Context(mv1, mv2, phi), sweep_rng)
+    return _check(_Context(mv1, mv2, phi))
 
 
-def _check(ctx: _Context, sweep_rng: random.Random | None = None) -> CheckResult:
+def _check(ctx: _Context) -> CheckResult:
     """The sweeps of :func:`check_asyn_abs` on a built context.
 
     They change nothing that :meth:`_Context.refuting_pair` reads, so
@@ -623,18 +654,11 @@ def _check(ctx: _Context, sweep_rng: random.Random | None = None) -> CheckResult
     while True:
         iterations += 1
         removed_this_sweep = False
-        states = list(range(len(nodes)))
-        if sweep_rng is not None:
-            sweep_rng.shuffle(states)
-        for a in states:
-            survivors = alive[a]
+        for a, survivors in enumerate(alive):
+            slots = ctx.layouts[a].slots
             # In the order of the gammas' sorted member lists: deleting
             # from a dict keeps the order of what is left.
-            masks = list(survivors)
-            if sweep_rng is not None:
-                sweep_rng.shuffle(masks)
-            slots = ctx.layouts[a].slots
-            for mask in masks:
+            for mask in list(survivors):
                 packed = survivors[mask]
                 for s_i, offset, ones in slots:
                     t = packed >> offset & ones
@@ -682,21 +706,16 @@ def witness_path(
     the current state's class keeps the position and a step onto the
     next state's class advances it.
 
-    The mapping is checked against both models first
-    (:func:`require_mapping_fits`), then the family must be closed
-    (:meth:`StepTermFamily.check_closed`, which raises
+    The family must be closed (:meth:`StepTermFamily.check_closed`, which
+    checks the mapping against both models first and raises
     :class:`NotClosedError` also for a family that lacks an abstract
-    state).  A family that passes it on stored successor sets that are
-    not the derived sets may still lift no path: that raises
-    :class:`NotClosedError` too.
+    state); the search reads the graphs and images of the context that
+    check built.
     """
     if not gamma_path:
         raise ValueError("the abstract path must contain at least one state")
-    require_mapping_fits(family.phi, family.mv1, family.mv2)
-    family.check_closed()
-    g1 = build_state_graph(family.mv1, ASYNC)
-    g2 = build_state_graph(family.mv2, ASYNC)
-    images = image_index(family.phi)
+    ctx = _closed_context(family)
+    g1, g2, images = ctx.g1, ctx.g2, ctx.image_index
     steps = list(map(g1.index, gamma_path))
     for u, v, a, b in zip(gamma_path, gamma_path[1:], steps, steps[1:]):
         if b not in g1.out[a]:
@@ -716,6 +735,6 @@ def witness_path(
     for pair in bfs(parents, successors):
         if pair[1] == last:
             return tuple(g2.nodes[k] for k, _ in path_to(parents, pair))
-    # Reached when a family passes check_closed on successor sets that
-    # are not the derived sets, so its gammas realise no lift of the path.
+    # Only guards an invariant: a family that passes check_closed lifts
+    # every abstract path.
     raise NotClosedError(f"no concrete path from the family's gammas lifts {gamma_path}")

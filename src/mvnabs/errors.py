@@ -17,28 +17,24 @@ class ModelValidationError(MvnError):
         super().__init__("; ".join(self.diagnostics))
 
 
-def _at(message, line) -> str:
-    """``message`` prefixed with its line, when there is one."""
-    return message if line is None else f"line {line}: {message}"
-
-
-class ParseError(MvnError):
-    """A model or mapping document failed to parse, with a location."""
+class _Located(MvnError):
+    """An error about a document, with the line it was found on, when
+    there is one: ``line`` is kept and prefixes the message."""
 
     def __init__(self, message, line=None):
         self.line = line
-        super().__init__(_at(message, line))
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class MappingError(MvnError):
+class ParseError(_Located):
+    """A model or mapping document failed to parse, with a location."""
+
+
+class MappingError(_Located):
     """An abstraction mapping violates its invariants (totality,
     surjectivity, codomain size, or the requirement that at least one
     entity is properly compressed).  ``line`` is the line of the
     offending clause when the mapping is parsed from a document."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(_at(message, line))
 
 
 class StructureMismatchError(MvnError):

@@ -109,15 +109,6 @@ def _tile(column: Sequence[int], length: int) -> Sequence[int]:
     return column if len(column) == length else column * (length // len(column))
 
 
-def _moves(state: GlobalState, target: GlobalState) -> list[GlobalState]:
-    """The single-entity changes of ``state`` towards ``target``."""
-    return [
-        state[:i] + (level,) + state[i + 1 :]
-        for i, level in enumerate(target)
-        if level != state[i]
-    ]
-
-
 def sync_step(model: Mvn, state: GlobalState) -> GlobalState:
     """Simultaneously update every entity via its table.
 
@@ -133,7 +124,12 @@ def async_next(model: Mvn, state: GlobalState) -> frozenset[GlobalState]:
     entity's level unchanged is not a step.  An empty result means the
     state is a point attractor.
     """
-    return frozenset(_moves(state, sync_step(model, state)))
+    target = sync_step(model, state)
+    return frozenset(
+        state[:i] + (level,) + state[i + 1 :]
+        for i, level in enumerate(target)
+        if level != state[i]
+    )
 
 
 def _levels(max_level: int) -> range:

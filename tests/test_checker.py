@@ -221,6 +221,9 @@ def test_step_term_gamma_must_be_in_class(apl2, pl2, rho_cro):
         make_step_term(apl2, pl2, rho_cro, (0, 0), set())
     with pytest.raises(GammaOutOfClassError, match=r"^\['x', \(0, 0\)\] is not"):
         make_step_term(apl2, pl2, rho_cro, (0, 0), {(0, 0), "x"})
+    # states as lists, as read from JSON: unhashable members
+    with pytest.raises(GammaOutOfClassError, match=r"^\[\[0, 0\]\] is not a nonempty subset"):
+        make_step_term(apl2, pl2, rho_cro, (0, 0), [[0, 0]])
 
 
 def test_all_step_terms_enumerates_subsets(apl2, pl2, rho_cro):
@@ -367,15 +370,14 @@ def test_order_independence_on_random_instances():
     for _ in range(100):
         mv1, mv2, phi = random_instance(rng)
         base = check_asyn_abs(mv1, mv2, phi)
+        terms = {s: all_step_terms(mv1, mv2, phi, s) for s in build_state_graph(mv1, ASYNC).nodes}
         snapshots = []
         for seed in (11, 22, 33):
-            other = check_asyn_abs(mv1, mv2, phi, sweep_rng=random.Random(seed))
-            assert other.holds == base.holds
-            assert other.stats.iterations <= other.stats.initial_terms + 1
+            holds, stats, _, family = _reference_sweep(phi, terms, random.Random(seed))
+            assert holds == base.holds
+            assert stats.iterations <= stats.initial_terms + 1
             if base.holds:
-                snapshots.append(
-                    {s: set(v) for s, v in other.family.terms.items()}
-                )
+                snapshots.append({s: set(dict(items)) for s, items in family})
         if base.holds:
             expected = {s: set(v) for s, v in base.family.terms.items()}
             assert all(snap == expected for snap in snapshots)
@@ -402,6 +404,7 @@ def test_entity_permutation_keeps_the_verdicts(apl2, pl2, rho_cro, mtrp, phi_trp
     rng = random.Random(3)
     triples += [random_instance(rng) for _ in range(400)]
     order_rng = random.Random(4)
+    holding = 0
     for mv1, mv2, phi in triples:
         order = list(range(len(mv2.entities)))
         while order == sorted(order):
@@ -419,6 +422,18 @@ def test_entity_permutation_keeps_the_verdicts(apl2, pl2, rho_cro, mtrp, phi_trp
         assert other.holds == base.holds
         assert other.stats.initial_terms == base.stats.initial_terms
         assert forward_holds(*renumbered) == forward_holds(mv1, mv2, phi)
+        if base.holds:
+            # The sweeps visit states and gammas in one order, which the
+            # renumbering changes; the surviving family must not change.
+            def moved(state):
+                return tuple(state[old] for old in order)
+
+            assert {
+                moved(s): {frozenset(map(moved, gamma)) for gamma in v}
+                for s, v in base.family.terms.items()
+            } == {s: set(v) for s, v in other.family.terms.items()}
+            holding += 1
+    assert holding > 100
 
 
 def test_class_size_guard():
@@ -591,10 +606,10 @@ def test_empty_family_is_not_closed(apl2, pl2, rho_cro):
 
 
 def test_witness_path_may_fail_on_a_family_that_passes_check_closed(mtrp, phi_trp):
-    # check_closed trusts the successor sets stored in each term.  On a
-    # refuted candidate, a made-up family of whole classes, with whole
-    # classes as successor sets, passes it, yet one path does not lift;
-    # a check_closed that recomputes the sets would refuse it instead.
+    # On a refuted candidate, a made-up family of whole classes, with
+    # whole classes as stored successor sets: check_closed rebuilds the
+    # terms from the models and refuses it, so witness_path raises
+    # NotClosedError before its search.
     mv1 = enumerate_candidates(mtrp, phi_trp).models[2]
     assert not check_asyn_abs(mv1, mtrp, phi_trp).holds
     g1 = build_state_graph(mv1, ASYNC)
@@ -609,6 +624,49 @@ def test_witness_path_may_fail_on_a_family_that_passes_check_closed(mtrp, phi_tr
     path = ((1, 0, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1))
     with pytest.raises(NotClosedError):
         witness_path(made_up, path)
+
+
+def test_check_closed_rebuilds_the_terms_it_tests(mtrp, phi_trp):
+    # A made-up family of whole classes, stored as valid with the whole
+    # successor classes as successor sets, on each refuted candidate.
+    point = r"^\(0, 0, 0, 1\) is a point attractor but every maximal run from \(0, 0, 0, 1\)"
+    missing = r"needs a realisation of \(0, 1, 0, 1\) inside \[\(0, 1, 0, 2\)\]"
+    candidates = enumerate_candidates(mtrp, phi_trp).models[1:]
+    for mv1, message in zip(candidates, (point, missing, missing)):
+        assert not check_asyn_abs(mv1, mtrp, phi_trp).holds
+        g1 = build_state_graph(mv1, ASYNC)
+        terms = {}
+        for state in g1.nodes:
+            gamma = concrete_class(phi_trp, state)
+            successors = tuple((s_i, concrete_class(phi_trp, s_i)) for s_i in g1.succ[state])
+            terms[state] = {gamma: StepTerm(state, gamma, successors, True)}
+        with pytest.raises(NotClosedError, match=message):
+            StepTermFamily(mv1, mtrp, phi_trp, terms).check_closed()
+
+
+def test_check_closed_rejects_a_gamma_outside_its_class(apl2, pl2, rho_cro):
+    family = check_asyn_abs(apl2, pl2, rho_cro).family
+    terms = {s: dict(v) for s, v in family.terms.items()}
+    # (1, 0) is in the class of (1, 0), not of (1, 1)
+    terms[(1, 1)][frozenset({(1, 0)})] = terms[(1, 0)][frozenset({(1, 0)})]
+    with pytest.raises(GammaOutOfClassError, match=r"^\[\(1, 0\)\] is not .* class of \(1, 1\)"):
+        StepTermFamily(apl2, pl2, rho_cro, terms).check_closed()
+
+
+def test_witness_path_reads_the_graphs_of_its_check(monkeypatch, apl2, pl2, rho_cro):
+    family = check_asyn_abs(apl2, pl2, rho_cro).family
+    calls = []
+
+    def recording(function):
+        def record(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return record
+
+    monkeypatch.setattr(checker, "build_state_graph", recording(build_state_graph))
+    monkeypatch.setattr(checker, "image_index", recording(checker.image_index))
+    assert witness_path(family, ((1, 1), (0, 1)))
+    assert sorted(calls) == ["build_state_graph", "build_state_graph", "image_index"]
 
 
 def _reference_sweep(phi, terms, sweep_rng=None):
@@ -735,18 +793,20 @@ def test_mask_sweep_matches_reference_sweep(apl2, apl2_bad, pl2, rho_cro, atrp, 
     for k, (mv1, mv2, phi) in enumerate(triples):
         ctx = _Context(mv1, mv2, phi)
         terms = {s: all_step_terms(mv1, mv2, phi, s) for s in ctx.g1.nodes}
-        for shuffle in (False, True):
-            expected = _reference_sweep(phi, terms, random.Random(k) if shuffle else None)
-            result = check_asyn_abs(
-                mv1, mv2, phi, sweep_rng=random.Random(k) if shuffle else None
-            )
-            family = None
-            if result.holds:
-                family = [(s, list(v.items())) for s, v in result.family.terms.items()]
-            assert (result.holds, result.stats, result.witness, family) == expected
-            verdicts.add(result.holds)
-            removals += result.stats.removed_terms
-            classes = max(classes, result.stats.max_class_size)
+        result = check_asyn_abs(mv1, mv2, phi)
+        family = None
+        if result.holds:
+            family = [(s, list(v.items())) for s, v in result.family.terms.items()]
+        assert (result.holds, result.stats, result.witness, family) == _reference_sweep(phi, terms)
+        holds, _, _, shuffled = _reference_sweep(phi, terms, random.Random(k))
+        assert holds == result.holds
+        if holds:
+            assert {s: set(dict(items)) for s, items in shuffled} == {
+                s: set(dict(items)) for s, items in family
+            }
+        verdicts.add(result.holds)
+        removals += result.stats.removed_terms
+        classes = max(classes, result.stats.max_class_size)
     assert verdicts == {True, False} and removals > 0 and classes == 16
 
 
@@ -861,11 +921,12 @@ def test_holding_results_freed_by_refcount(monkeypatch, apl2, pl2, rho_cro, atrp
             assert result.holds and all(ref() is not None for ref in graphs[-2:])
             del result
             assert all(ref() is None for ref in graphs)
-            # Family read once: the read lets go of the graphs.
+            # Family read once: the read lets go of the graphs, and so
+            # does the context that check_closed builds.
             result = check_asyn_abs(mv1, mv2, phi)
             result.family.check_closed()
             assert all(ref() is None for ref in graphs)
             del result
-        assert len(graphs) == 8
+        assert len(graphs) == 12
     finally:
         gc.enable()
