@@ -36,13 +36,13 @@ abstraction is refuted; if a sweep removes nothing, what remains is a
 family that is nonempty everywhere and closed under step terms, which
 certifies trace inclusion.  The surviving family at the fixpoint is the
 greatest closed subfamily, so the verdict does not depend on sweep
-order; the sweeps have one, abstract states in index order and each
-state's gammas in the order of their ascending member lists.
+order; there is one order, abstract states by index and each state's
+gammas by ascending member list, and every listing of terms follows it.
 Successor sets are a pure function of (S, Gamma), so terms are keyed by
-that pair and the closure test scans one family.
-:meth:`StepTermFamily.check_closed` rebuilds every term it tests from
-(S, Gamma) by the one rule of :func:`make_step_term`, so the successor
-sets and validity a term carries are never trusted.
+that pair.  :meth:`StepTermFamily.check_closed` reads only a family's
+keys and gammas, derives their sets as the check does and tests closure
+by the sweeps' own test, so the successor sets and validity a term
+carries are never trusted.
 
 Each check computes its tables once, on node indices, as flat arrays:
 the abstract index of every concrete node
@@ -63,13 +63,14 @@ Validity is a bit test on the packed value.  The sweeps run on these
 integers too: a term is its gamma's bitmask and packed derived sets,
 and the derived set T(S_i) is one slot of the packed value, so the
 subset test is ``g & ~t == 0``; it looks the submasks of T(S_i) up
-when they are fewer than the surviving terms.  A removal is recorded
-as four ints, the two nodes and two masks.  States become tuples only
-at the edge: the removals of a refutation, ``CheckStats`` and, when the
-abstraction holds, the ``StepTerm`` objects of the surviving family,
-which are built the first time the family's terms are read, with one
-shared frozenset per bitmask, each built from the set of the mask
-without its lowest bit.  The 2^|class| walk itself remains.
+when they are fewer than the surviving terms; ``check_closed`` runs
+the same test.  A removal is recorded as four ints, the two nodes and
+two masks.  States become tuples only at the edge: the removals of a
+refutation, ``CheckStats``, an error message and, when the abstraction
+holds, the ``StepTerm`` objects of the surviving family, built the
+first time its terms are read, with one shared frozenset per bitmask,
+each from the set of the mask without its lowest bit.  The 2^|class|
+walk itself remains.
 
 Same-image ("stutter") steps are the concrete asynchronous graph's
 steps whose target has the image of their source, read off that graph
@@ -190,6 +191,15 @@ class _Layout:
     guards: int
     unsettleable: int
 
+    def valid(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """The valid pairs (gamma mask, packed derived sets) of ``terms``."""
+        fill, guards, unsettleable = self.fill, self.guards, self.unsettleable
+        return {
+            mask: packed
+            for mask, packed in terms
+            if (packed + fill) & guards == guards and not mask & unsettleable
+        }
+
 
 class _Subsets(dict):
     """Bitmask -> the members of one class it selects, built on first use.
@@ -294,7 +304,9 @@ class _Context:
                 _Layout(slots, tuple(map(post.__getitem__, klass)), fill, guards, stuck)
             )
 
-    def _term(self, a: int, layout: _Layout, mask: int, packed: int) -> StepTerm:
+    def _term(self, a: int, mask: int, packed: int) -> StepTerm:
+        """The ``StepTerm`` of node ``a``'s gamma ``mask``: the one rule that makes one."""
+        layout = self.layouts[a]
         nodes = self.g1.nodes
         state = nodes[a]
         successors = []
@@ -320,16 +332,15 @@ class _Context:
             invalid_reason=reason,
         )
 
-    def step_terms(self, state: GlobalState, gammas: Iterable) -> Iterator[StepTerm]:
-        """The step term of ``(state, gamma)`` for each of ``gammas``, in
-        turn: the one rule that makes a ``StepTerm`` of a given pair.
+    def masks(self, a: int, gammas: Iterable) -> dict[int, int]:
+        """``{gamma mask: packed derived sets}`` of ``gammas``, in order: the
+        one rule that turns a gamma of abstract node ``a`` into a term.
 
         Raises :class:`GammaOutOfClassError` for a gamma that is not a
-        nonempty subset of the class of ``state``.
+        nonempty subset of the class of ``a``.
         """
-        a = self.g1.index(state)
         klass = {self.g2.nodes[k]: self.pos[k] for k in self.members[a]}
-        layout = self.layouts[a]
+        found = {}
         for gamma in gammas:
             try:  # one bit per distinct member, so the sum is their OR
                 mask = sum({1 << klass[g] for g in gamma})
@@ -341,9 +352,10 @@ class _Context:
                 except TypeError:  # a member that is not a state need not compare
                     shown = sorted(gamma, key=repr)
                 raise GammaOutOfClassError(
-                    f"{shown} is not a nonempty subset of the class of {state}"
+                    f"{shown} is not a nonempty subset of the class of {self.g1.nodes[a]}"
                 )
-            yield self._term(a, layout, mask, _derived(layout, mask))
+            found[mask] = _derived(self.layouts[a], mask)
+        return found
 
     def valid_subsets(self, a: int) -> dict[int, int]:
         """``{gamma mask: packed derived sets}`` of the valid terms of
@@ -357,30 +369,13 @@ class _Context:
                 f"subset enumeration is capped at {MAX_CLASS_SIZE}"
             )
         layout = self.layouts[a]
-        fill, guards, unsettleable = layout.fill, layout.guards, layout.unsettleable
         masks: list[int] = []
         packs: list[int] = []
         for j in reversed(range(size)):
             bit, post = 1 << j, layout.post[j]
             masks = [bit, *map(bit.__or__, masks), *masks]
             packs = [post, *map(post.__or__, packs), *packs]
-        return {
-            mask: packed
-            for mask, packed in zip(masks, packs)
-            if (packed + fill) & guards == guards and not mask & unsettleable
-        }
-
-    def build_terms(self, a: int, terms: dict[int, int]) -> list[StepTerm]:
-        """``StepTerm`` objects for ``{gamma mask: packed derived sets}``,
-        listed by size and then lexicographically: a stable sort by size
-        of the sweep order, the order of the gammas' ascending member
-        lists, as each size is already lexicographic in it.
-        """
-        layout = self.layouts[a]
-        return [
-            self._term(a, layout, mask, packed)
-            for mask, packed in sorted(terms.items(), key=lambda item: item[0].bit_count())
-        ]
+        return layout.valid(zip(masks, packs))
 
     def refuting_pair(self) -> tuple[GlobalState, int] | None:
         """The first bad pair of the forward search, or ``None``.
@@ -428,18 +423,19 @@ def make_step_term(
     mv1: Mvn, mv2: Mvn, phi: AbstractionMapping, state: GlobalState, gamma
 ) -> StepTerm:
     """Build the step term for ``(state, gamma)``; check ``term.valid``."""
-    return next(_Context(mv1, mv2, phi).step_terms(state, [gamma]))
+    ctx = _Context(mv1, mv2, phi)
+    a = ctx.g1.index(state)
+    return ctx._term(a, *ctx.masks(a, [gamma]).popitem())
 
 
 def all_step_terms(
     mv1: Mvn, mv2: Mvn, phi: AbstractionMapping, state: GlobalState
 ) -> list[StepTerm]:
-    """All valid step terms for one abstract state, by size and then
-    lexicographically (:meth:`_Context.build_terms`), not in the sweep
-    order of ascending member lists."""
+    """All valid step terms for one abstract state, in the sweep order:
+    the gammas' ascending member lists."""
     ctx = _Context(mv1, mv2, phi)
     a = ctx.g1.index(state)
-    return ctx.build_terms(a, ctx.valid_subsets(a))
+    return [ctx._term(a, mask, packed) for mask, packed in ctx.valid_subsets(a).items()]
 
 
 class _LazyTerms(Mapping):
@@ -448,7 +444,7 @@ class _LazyTerms(Mapping):
     Until then it holds the check's context and the surviving
     ``{gamma mask: packed derived sets}`` of every abstract node.  The
     first read builds the whole ``{state: {gamma: StepTerm}}`` dict, in
-    abstract node order, and drops both.
+    the sweep order, and drops both.
     """
 
     def __init__(self, ctx: _Context, alive: list[dict[int, int]]):
@@ -460,7 +456,7 @@ class _LazyTerms(Mapping):
             ctx, alive = self._pending
             nodes = ctx.g1.nodes
             self._terms = {
-                nodes[a]: {term.gamma: term for term in ctx.build_terms(a, survivors)}
+                nodes[a]: {ctx._subsets[a][m]: ctx._term(a, m, p) for m, p in survivors.items()}
                 for a, survivors in enumerate(alive)
             }
             self._pending = None
@@ -496,15 +492,15 @@ class StepTermFamily:
     def check_closed(self) -> None:
         """Raise unless every set is nonempty and closed under step terms.
 
-        The terms are rebuilt from the models, one per gamma key of the
-        family, by the rule of :func:`make_step_term`; the ``successors``
-        and ``valid`` stored in them are never read.  A gamma outside its
-        class raises :class:`GammaOutOfClassError`.  Every abstract state
-        is walked in index order, and :class:`NotClosedError` names the
-        first state with no gamma (a state the family has no key for
-        counts as empty), the first invalid term (with its
-        ``invalid_reason``) or the first rebuilt successor set that holds
-        no gamma of its state.
+        Only keys and gammas are read, never a term's ``successors`` or
+        ``valid``.  All are converted first, by :func:`make_step_term`'s
+        rule: a key that is not an abstract state raises
+        :class:`ValueError`, a gamma outside its class
+        :class:`GammaOutOfClassError`.  Then, walking the abstract states
+        in index order, :class:`NotClosedError` names the first state
+        with no gamma (no key counts as empty), the first invalid term
+        (its ``invalid_reason``) or the first derived set that holds no
+        gamma of its state.  A closed family builds no ``StepTerm``.
         """
         _closed_context(self)
 
@@ -513,28 +509,26 @@ def _closed_context(family: StepTermFamily) -> _Context:
     """:meth:`StepTermFamily.check_closed` on a context built for it,
     returned when the family is closed."""
     ctx = _Context(family.mv1, family.mv2, family.phi)
-    stored = dict(family.terms)  # one read of a lazily built family
-    rebuilt: dict[GlobalState, list[StepTerm]] = {}
-
-    def terms_of(state: GlobalState) -> list[StepTerm]:
-        if state not in rebuilt:
-            rebuilt[state] = list(ctx.step_terms(state, stored.get(state, ())))
-        return rebuilt[state]
-
-    for state in ctx.g1.nodes:
-        terms = terms_of(state)
+    nodes = ctx.g1.nodes
+    given: list[dict[int, int]] = [{} for _ in nodes]
+    for state, gammas in family.terms.items():
+        a = ctx.g1.index(state)
+        given[a] = ctx.masks(a, gammas)
+    for a, terms in enumerate(given):
         if not terms:
-            raise NotClosedError(f"no step terms left for abstract state {state}")
-        for term in terms:
-            if not term.valid:
-                raise NotClosedError(term.invalid_reason)
-            for s_i, t in term.successors:
-                # realisable: some gamma of S_i lies inside t
-                if not any(u.gamma <= t for u in terms_of(s_i)):
-                    raise NotClosedError(
-                        f"term for {state} needs a realisation of {s_i} "
-                        f"inside {sorted(t)}, and the family has none"
-                    )
+            raise NotClosedError(f"no step terms left for abstract state {nodes[a]}")
+        layout = ctx.layouts[a]
+        valid = layout.valid(terms.items())
+        for mask, packed in terms.items():
+            if mask not in valid:
+                raise NotClosedError(ctx._term(a, mask, packed).invalid_reason)
+            failed = _unrealised(layout.slots, packed, given)
+            if failed is not None:
+                s_i, t = failed
+                raise NotClosedError(
+                    f"term for {nodes[a]} needs a realisation of {nodes[s_i]} "
+                    f"inside {sorted(ctx._subsets[s_i][t])}, and the family has none"
+                )
     return ctx
 
 
@@ -659,15 +653,11 @@ def _check(ctx: _Context) -> CheckResult:
             # In the order of the gammas' sorted member lists: deleting
             # from a dict keeps the order of what is left.
             for mask in list(survivors):
-                packed = survivors[mask]
-                for s_i, offset, ones in slots:
-                    t = packed >> offset & ones
-                    # realisable: some surviving gamma of S_i lies inside t
-                    if t not in alive[s_i] and not _has_submask(alive[s_i], t):
-                        del survivors[mask]
-                        removals.append((a, mask, s_i, t))
-                        removed_this_sweep = True
-                        break
+                failed = _unrealised(slots, survivors[mask], alive)
+                if failed is not None:
+                    del survivors[mask]
+                    removals.append((a, mask, *failed))
+                    removed_this_sweep = True
             if not survivors:
                 return failure(a, "all step terms for this state were pruned", iterations)
         if not removed_this_sweep:
@@ -675,6 +665,16 @@ def _check(ctx: _Context) -> CheckResult:
 
     family = StepTermFamily(ctx.mv1, ctx.mv2, ctx.phi, _LazyTerms(ctx, alive))
     return CheckResult(True, family, None, stats(iterations))
+
+
+def _unrealised(slots: tuple, packed: int, family: list[dict[int, int]]) -> tuple[int, int] | None:
+    """The closure test: ``(S_i, T(S_i))`` for a term's first derived set
+    that holds no gamma of ``family[S_i]``, or ``None``."""
+    for s_i, offset, ones in slots:
+        t = packed >> offset & ones
+        if t not in family[s_i] and not _has_submask(family[s_i], t):
+            return s_i, t
+    return None
 
 
 def _has_submask(family: dict[int, int], t: int) -> bool:
@@ -706,11 +706,11 @@ def witness_path(
     the current state's class keeps the position and a step onto the
     next state's class advances it.
 
-    The family must be closed (:meth:`StepTermFamily.check_closed`, which
-    checks the mapping against both models first and raises
-    :class:`NotClosedError` also for a family that lacks an abstract
-    state); the search reads the graphs and images of the context that
-    check built.
+    The family must be closed, and the lift runs
+    :meth:`StepTermFamily.check_closed` first: the search starts from
+    the family's gammas, that check is where they are checked, and
+    closure is what makes every abstract path lift.  The search reads
+    the graphs and images of the context that check built.
     """
     if not gamma_path:
         raise ValueError("the abstract path must contain at least one state")
@@ -721,7 +721,7 @@ def witness_path(
         if b not in g1.out[a]:
             raise ValueError(f"{u} -> {v} is not an abstract asynchronous step")
     last = len(steps) - 1
-    starts = sorted(map(g2.index, set().union(*family.terms[gamma_path[0]])))
+    starts = sorted(map(g2.index, set().union(*family.terms[g1.nodes[steps[0]]])))
     parents: dict[tuple[int, int], tuple[int, int] | None] = {(k, 0): None for k in starts}
 
     def successors(pair):

@@ -303,10 +303,14 @@ def test_all_step_terms_match_definition(apl2, pl2, rho_cro, atrp, mtrp, phi_trp
             expected.setdefault(state, []).append((gamma, successors, reason))
         for state, refs in expected.items():
             got = all_step_terms(mv1, mv2, phi, state)
-            assert [(t.gamma, t.successors) for t in got] == [
-                (gamma, successors) for gamma, successors, reason in refs
-                if reason is None
-            ]
+            # in the sweep order: the gammas' ascending member lists
+            assert [(t.gamma, t.successors) for t in got] == sorted(
+                (
+                    (gamma, successors) for gamma, successors, reason in refs
+                    if reason is None
+                ),
+                key=lambda item: sorted(item[0]),
+            )
             assert all(t.valid and t.invalid_reason is None for t in got)
             invalid = [(gamma, reason) for gamma, _, reason in refs if reason]
             # the smallest and the largest invalid subsets; the largest
@@ -607,8 +611,8 @@ def test_empty_family_is_not_closed(apl2, pl2, rho_cro):
 
 def test_witness_path_may_fail_on_a_family_that_passes_check_closed(mtrp, phi_trp):
     # On a refuted candidate, a made-up family of whole classes, with
-    # whole classes as stored successor sets: check_closed rebuilds the
-    # terms from the models and refuses it, so witness_path raises
+    # whole classes as stored successor sets: check_closed derives the
+    # sets from the models and refuses it, so witness_path raises
     # NotClosedError before its search.
     mv1 = enumerate_candidates(mtrp, phi_trp).models[2]
     assert not check_asyn_abs(mv1, mtrp, phi_trp).holds
@@ -651,6 +655,102 @@ def test_check_closed_rejects_a_gamma_outside_its_class(apl2, pl2, rho_cro):
     terms[(1, 1)][frozenset({(1, 0)})] = terms[(1, 0)][frozenset({(1, 0)})]
     with pytest.raises(GammaOutOfClassError, match=r"^\[\(1, 0\)\] is not .* class of \(1, 1\)"):
         StepTermFamily(apl2, pl2, rho_cro, terms).check_closed()
+
+
+def test_check_closed_rejects_keys_that_are_not_abstract_states(apl2, pl2, rho_cro):
+    terms = dict(check_asyn_abs(apl2, pl2, rho_cro).family.terms)
+    for key, message in (((9, 9), "outside the state space"), ("junk", "does not have 2 levels")):
+        with pytest.raises(ValueError, match=message):
+            StepTermFamily(apl2, pl2, rho_cro, {**terms, key: {}}).check_closed()
+
+
+def test_witness_path_accepts_states_as_lists(apl2, pl2, rho_cro):
+    family = check_asyn_abs(apl2, pl2, rho_cro).family
+    assert witness_path(family, ([1, 1], [0, 1])) == witness_path(family, ((1, 1), (0, 1)))
+
+
+def test_check_closed_builds_no_step_term(monkeypatch, apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    built = []
+
+    class CountingStepTerm(StepTerm):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    # read before counting: a family from the check builds its terms then
+    families = [
+        StepTermFamily(mv1, mv2, phi, dict(check_asyn_abs(mv1, mv2, phi).family.terms))
+        for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp))
+    ]
+    monkeypatch.setattr(checker, "StepTerm", CountingStepTerm)
+    for family in families:
+        family.check_closed()
+    assert built == []
+
+
+def _reference_closed(family):
+    """``check_closed`` by the frozenset rule: ``make_step_term`` for
+    every gamma, then ``any(u.gamma <= t)`` as the closure test."""
+    mv1, mv2, phi = family.mv1, family.mv2, family.phi
+    terms = {
+        state: [make_step_term(mv1, mv2, phi, state, gamma) for gamma in gammas]
+        for state, gammas in family.terms.items()
+    }
+    for state in build_state_graph(mv1, ASYNC).nodes:
+        if not terms.get(state):
+            raise NotClosedError(f"no step terms left for abstract state {state}")
+        for term in terms[state]:
+            if not term.valid:
+                raise NotClosedError(term.invalid_reason)
+            for s_i, t in term.successors:
+                if not any(u.gamma <= t for u in terms.get(s_i, ())):
+                    raise NotClosedError(
+                        f"term for {state} needs a realisation of {s_i} "
+                        f"inside {sorted(t)}, and the family has none"
+                    )
+
+
+def test_check_closed_matches_reference_closed():
+    def outcome(check, family):
+        try:
+            check(family)
+        except (NotClosedError, GammaOutOfClassError) as error:
+            return type(error), str(error)
+        return None
+
+    rng = random.Random(17)
+    kinds, mutated = set(), 0
+    while mutated < 240:
+        mv1, mv2, phi = random_instance(rng)
+        result = check_asyn_abs(mv1, mv2, phi)
+        if not result.holds:
+            continue
+        base = {s: dict(v) for s, v in result.family.terms.items()}
+        states = list(base)
+        for kind in ("drop", "whole class", "empty", "move"):
+            terms = {s: dict(v) for s, v in base.items()}
+            state = rng.choice(states)
+            if kind == "drop":
+                del terms[state][rng.choice(list(terms[state]))]
+            elif kind == "whole class":
+                # stored terms are never read, so the value can be anything
+                terms[state][concrete_class(phi, state)] = None
+            elif kind == "empty":
+                terms[state] = {}
+            else:
+                gamma = rng.choice(list(terms[state]))
+                del terms[state][gamma]
+                terms[rng.choice([s for s in states if s != state])][gamma] = None
+            family = StepTermFamily(mv1, mv2, phi, terms)
+            got = outcome(StepTermFamily.check_closed, family)
+            expected = outcome(_reference_closed, family)
+            assert got == expected, kind
+            if kind == "move":
+                assert got[0] is GammaOutOfClassError
+            kinds.add((kind, got and got[0]))
+            mutated += 1
+    assert {("drop", NotClosedError), ("drop", None), ("whole class", None)} <= kinds
+    assert {("whole class", NotClosedError), ("empty", NotClosedError)} <= kinds
 
 
 def test_witness_path_reads_the_graphs_of_its_check(monkeypatch, apl2, pl2, rho_cro):
