@@ -43,8 +43,8 @@ class Neighbourhood:
     """Ordered input wiring for one entity.
 
     ``inputs`` lists the indices of the entities whose levels feed this
-    entity's next-state table, in table-column order.  Empty means the
-    entity is an input entity.
+    entity's next-state table, each at most once, in table-column order.
+    Empty means the entity is an input entity.
     """
 
     entity: int
@@ -68,8 +68,11 @@ class NextStateTable:
 class Mvn:
     """A multi-valued network: entities, wiring, and next-state tables.
 
-    Instances are immutable after construction and safe to share across
-    threads.  Construction does not validate; run :func:`validate` (or
+    Instances are frozen and safe to share across threads, provided no
+    one mutates a table's rows: :attr:`NextStateTable.rows` is a plain
+    dict, and :mod:`~mvnabs.fixtures` hands out one cached model per
+    process, so rows must not be mutated; copy them to derive a model.
+    Construction does not validate; run :func:`validate` (or
     :func:`require_valid`) before handing a model to the semantics.
     """
 
@@ -152,15 +155,21 @@ def validate(model: Mvn) -> list[str]:
                 f"entity {e.name}: max_level must be in 1..{LEVEL_CAP}, got {e.max_level!r}"
             )
 
-    miswired = set()  # entities with an input index out of range
+    miswired = set()  # entities with an input out of range or listed twice
     for i, nb in enumerate(model.neighbourhoods[:n]):
         name = model.entities[i].name
         if nb.entity != i:
             diags.append(f"entity {name}: neighbourhood indexed for entity {nb.entity}")
+        listed = set()
         for j in nb.inputs:
             if not is_level(j, n - 1):
                 diags.append(f"entity {name}: neighbourhood input index {j} out of range")
                 miswired.add(i)
+            elif j in listed:
+                diags.append(f"entity {name}: input {model.entities[j].name} listed twice")
+                miswired.add(i)
+            else:
+                listed.add(j)
 
     for i, table in enumerate(model.tables[:n]):
         name = model.entities[i].name

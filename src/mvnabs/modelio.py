@@ -123,9 +123,11 @@ def parse_model(text: str, *, check: bool = True) -> Mvn:
             if ename in neighbourhoods:
                 raise ParseError(f"duplicate neighbourhood for {ename}", lineno)
             inputs = tuple(t.strip() for t in body.split(",") if t.strip())
-            for t in inputs:
+            for k, t in enumerate(inputs):
                 if t not in index:
                     raise ParseError(f"entity {ename}: unknown input {t}", lineno)
+                if t in inputs[:k]:
+                    raise ParseError(f"entity {ename}: input {t} listed twice", lineno)
             neighbourhoods[ename] = inputs
             continue
         m = _TABLE_RE.match(line)

@@ -12,7 +12,11 @@ oracle can decide.  On every instance it also compares the checker with
 the forward decider :func:`~mvnabs.checker.forward_holds`, which is
 exact for infinite trace sets too but shares ``checker._Context`` with
 the checker: both verdicts are read from one context per instance, and
-the oracle stays the independent check where supported.
+the oracle stays the independent check where supported.  The oracle
+verdict reads the two asynchronous graphs of that context, which
+:func:`~mvnabs.semantics.build_state_graph` makes and nothing changes,
+so each graph is built once per instance; its finiteness tests, trace
+enumeration, abstraction and inclusion stay its own.
 The reachability and attractor suites read each graph's SCCs and
 images under ``phi``; neither searches from a concrete state.  The
 reachability suite reads both graphs and the images
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import warnings
 
 from .abstraction import (
     AbstractionMapping,
@@ -34,7 +37,7 @@ from .abstraction import (
     require_mapping_fits,
 )
 from .checker import _check, _Context
-from .errors import NonMonotoneMappingWarning, TooManyTracesError, UnsupportedError
+from .errors import TooManyTracesError, UnsupportedError
 from .model import Entity, Mvn, Neighbourhood, NextStateTable
 from .modelio import serialize_mapping, serialize_model
 from .semantics import ASYNC, StateGraph, attractors, build_state_graph
@@ -52,6 +55,14 @@ def oracle_check(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> bool:
     require_mapping_fits(phi, mv1, mv2)
     g1 = build_state_graph(mv1, ASYNC)
     g2 = build_state_graph(mv2, ASYNC)
+    return _included(mv1, mv2, phi, g1, g2)
+
+
+def _included(
+    mv1: Mvn, mv2: Mvn, phi: AbstractionMapping, g1: StateGraph, g2: StateGraph
+) -> bool:
+    """:func:`oracle_check` on the asynchronous graphs ``g1`` of ``mv1``
+    and ``g2`` of ``mv2``, which the caller builds."""
     if not trace_set_is_finite(g2):
         raise UnsupportedError(
             "brute-force inclusion needs a finite concrete trace set"
@@ -169,43 +180,37 @@ def differential_suite(seed: int, count: int) -> dict:
     rng = random.Random(seed)
     instances = []
     divergences = []
-    supported = 0
-    both_finite = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonMonotoneMappingWarning)
-        for index in range(count):
-            mv1, mv2, phi = random_instance(rng)
-            record = {
-                "index": index,
-                "mv1": serialize_model(mv1),
-                "mv2": serialize_model(mv2),
-                "mapping": serialize_mapping(phi, mv2),
-            }
-            ctx = _Context(mv1, mv2, phi)
-            verdict = _check(ctx).holds
-            record["checker"] = verdict
-            record["forward"] = ctx.refuting_pair() is None
-            try:
-                expected = oracle_check(mv1, mv2, phi)
-            except UnsupportedError:
-                record["supported"] = False
-                record["oracle"] = None
-            else:
-                supported += 1
-                record["supported"] = True
-                record["oracle"] = expected
-                record["both_finite"] = trace_set_is_finite(ctx.g1)
-                both_finite += record["both_finite"]
-                if expected != verdict:
-                    divergences.append(dict(record, kind="verdict"))
-            if record["forward"] != verdict:
-                divergences.append(dict(record, kind="forward"))
-            instances.append(record)
+    for index in range(count):
+        mv1, mv2, phi = random_instance(rng)
+        record = {
+            "index": index,
+            "mv1": serialize_model(mv1),
+            "mv2": serialize_model(mv2),
+            "mapping": serialize_mapping(phi, mv2),
+        }
+        ctx = _Context(mv1, mv2, phi)
+        verdict = _check(ctx).holds
+        record["checker"] = verdict
+        record["forward"] = ctx.refuting_pair() is None
+        try:
+            expected = _included(mv1, mv2, phi, ctx.g1, ctx.g2)
+        except UnsupportedError:
+            record["supported"] = False
+            record["oracle"] = None
+        else:
+            record["supported"] = True
+            record["oracle"] = expected
+            record["both_finite"] = trace_set_is_finite(ctx.g1)
+            if expected != verdict:
+                divergences.append(dict(record, kind="verdict"))
+        if record["forward"] != verdict:
+            divergences.append(dict(record, kind="forward"))
+        instances.append(record)
     return {
         "seed": seed,
         "count": count,
-        "supported": supported,
-        "both_finite": both_finite,
+        "supported": sum(r["supported"] for r in instances),
+        "both_finite": sum(r.get("both_finite", False) for r in instances),
         "divergences": divergences,
         "instances": instances,
     }

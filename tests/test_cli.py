@@ -62,6 +62,18 @@ def test_output_that_is_not_a_level_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: line 7: entity CI: output '²' is not a level\n")
 
 
+@pytest.mark.parametrize("document, message", [
+    ("neighbourhood A = [A, A]\n", "line 3: entity A: input A listed twice"),
+    *((f"neighbourhood A = [A]\ntable A:\n  0 -> 0\n  {cell} -> 1\n",
+       f"line 6: entity A: bad level list {cell!r}") for cell in ["1,", ",1", "a", "1,,2"]),
+])
+def test_validate_reports_one_parse_error(tmp_path, capsys, document, message):
+    bad = tmp_path / "bad.mvn"
+    bad.write_text("mvn X\nentity A : 0..1\n" + document, encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_parse_error_exits_2(files, tmp_path, capsys):
     bad = tmp_path / "bad.mvn"
     bad.write_text("entity X : 0..1\n", encoding="utf-8")

@@ -170,6 +170,22 @@ def test_bool_input_indices_reported():
     ]
 
 
+def test_input_listed_twice_reported():
+    # Both columns of a repeated input always hold one level, so a row
+    # such as (0, 1) could never be read; the rows are not judged.
+    m = pl2()
+    nbs = (Neighbourhood(0, (1, 0, 1)), m.neighbourhoods[1])
+    assert validate(_rewired(m, nbs)) == ["entity CI: input Cro listed twice"]
+    # An index that is not a level is reported as out of range only.
+    nbs = (Neighbourhood(0, (5, 5, True, True)), m.neighbourhoods[1])
+    assert validate(_rewired(m, nbs)) == [
+        "entity CI: neighbourhood input index 5 out of range",
+        "entity CI: neighbourhood input index 5 out of range",
+        "entity CI: neighbourhood input index True out of range",
+        "entity CI: neighbourhood input index True out of range",
+    ]
+
+
 def test_input_entity_with_a_real_row_reported():
     m = mtrp()
     i = m.entity_index("TrpExt")

@@ -135,6 +135,11 @@ ONE = "mvn X\nentity A : 0..1\nneighbourhood A = [A]\ntable A:\n"
         ("\n\nA: 0->0, 1->1", "entity A: mapping is not total on 0..2 (missing [2])", 3),
         ("mvn X\nentity A : 0..1\ntable B:\n", "table for unknown entity B", 3),
         (ONE + "  0 -> x\n", "entity A: output 'x' is not a level", 5),
+        ("mvn X\nentity A : 0..1\nneighbourhood A = [A, A]\n", "entity A: input A listed twice", 3),
+        (ONE + "  0 -> 0\n  1, -> 1\n", "entity A: bad level list '1,'", 6),
+        (ONE + "  ,1 -> 1\n", "entity A: bad level list ',1'", 5),
+        (ONE + "  a -> 1\n", "entity A: bad level list 'a'", 5),
+        (ONE + "  1,,2 -> 1\n", "entity A: bad level list '1,,2'", 5),
         (ONE + "  0 -> ²\n", "entity A: output '²' is not a level", 5),
     ],
 )

@@ -25,7 +25,7 @@ from mvnabs import (
     reachability_soundness_suite,
     witness_path,
 )
-from mvnabs import checker, oracle, semantics
+from mvnabs import checker, oracle, semantics, traces
 from mvnabs.cli import main
 from mvnabs.fixtures import PL2_SOURCE
 from mvnabs.oracle import random_instance
@@ -180,8 +180,8 @@ def wide_triple():
 def test_verdict_divergence_is_reported(monkeypatch):
     # Flip the oracle's answer: every supported instance diverges, and
     # each record replays its instance.
-    oracle_answer = oracle.oracle_check
-    monkeypatch.setattr(oracle, "oracle_check", lambda *args: not oracle_answer(*args))
+    oracle_answer = oracle._included
+    monkeypatch.setattr(oracle, "_included", lambda *args: not oracle_answer(*args))
     report = differential_suite(seed=3, count=10)
     verdicts = [d for d in report["divergences"] if d["kind"] == "verdict"]
     assert len(verdicts) == report["supported"] > 0
@@ -321,6 +321,33 @@ def test_reachability_suite_builds_each_graph_once(monkeypatch, atrp, mtrp, phi_
     report = reachability_soundness_suite(atrp, mtrp, phi_trp)
     assert report["pairs_checked"] == 72 and report["failures"] == []
     assert built == [("ATRP", ASYNC), ("MTRP", ASYNC)]
+
+
+def test_differential_suite_builds_each_graph_once(monkeypatch):
+    # The oracle reads the two graphs of the instance's checker context,
+    # so past random_model's draws an instance builds two graphs.
+    built = []
+    drawing = [False]
+    random_model = oracle.random_model
+
+    def counting(model, discipline):
+        built.append((drawing[0], discipline))
+        return build_state_graph(model, discipline)
+
+    def draw(rng):
+        drawing[0] = True
+        try:
+            return random_model(rng)
+        finally:
+            drawing[0] = False
+
+    for module in (semantics, checker, oracle, traces):
+        monkeypatch.setattr(module, "build_state_graph", counting)
+    monkeypatch.setattr(oracle, "random_model", draw)
+    report = differential_suite(seed=3, count=10)
+    assert report["supported"] > 0 and report["divergences"] == []
+    assert sum(drawing for drawing, _ in built) >= 10
+    assert [d for drawing, d in built if not drawing] == [ASYNC] * 20
 
 
 def test_reachability_soundness_on_the_probe():
