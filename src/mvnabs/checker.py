@@ -38,6 +38,16 @@ certifies trace inclusion.  The surviving family at the fixpoint is the
 greatest closed subfamily, so the verdict does not depend on sweep
 order; there is one order, abstract states by index and each state's
 gammas by ascending member list, and every listing of terms follows it.
+A sweep tests a state's terms only when one of its successors has lost
+a term since the state was last tested, as AC-3 revisits an arc only
+when a neighbouring domain shrank (Mackworth, Artificial Intelligence
+8(1), 1977); before the first sweep a state counts as tested when every
+successor's family is complete, holding every nonempty subset of its
+class.  The skip is exact: families only shrink, a term reads only its
+successors' families, asynchronous graphs have no self-loops, and a
+valid term's derived sets are nonempty, so a complete family holds one
+of them.  So the sweeps remove the same terms in the same order as a
+sweep that tests every term, and count the same iterations.
 Successor sets are a pure function of (S, Gamma), so terms are keyed by
 that pair.  :meth:`StepTermFamily.check_closed` reads only a family's
 keys and gammas, derives their sets as the check does and tests closure
@@ -58,14 +68,18 @@ the subset tree, by doubling from the top member down: the subsets
 whose least member is j are {j}, then {j} joined to each subset above
 j, then the subsets above j.  The derived sets double alongside, so a
 class of k states costs 2^k ORs and two lists of 2^k integers, and
-the sweeps visit each state's terms in that order with no sort.
-Validity is a bit test on the packed value.  The sweeps run on these
-integers too: a term is its gamma's bitmask and packed derived sets,
-and the derived set T(S_i) is one slot of the packed value, so the
-subset test is ``g & ~t == 0``; it looks the submasks of T(S_i) up
-when they are fewer than the surviving terms; ``check_closed`` runs
-the same test.  A removal is recorded as four ints, the two nodes and
-two masks.  States become tuples only at the edge: the removals of a
+the sweeps visit each state's terms in that order with no sort; a
+check lists the gamma masks of each class size once.  Validity is a
+bit test on the packed value, made on every subset only when some
+member is invalid alone: validity away from a point is upward closed,
+and at a point it asks only that no member be unsettleable.  The
+sweeps run on these integers too: a term is its gamma's bitmask and
+packed derived sets, and the derived set T(S_i) is one slot of the
+packed value, so the subset test is ``g & ~t == 0``; it looks the
+submasks of T(S_i) up when they are fewer than the surviving terms.
+One call tests all of a state's terms, and ``check_closed`` runs the
+same test.  A removal is recorded as four ints, the two nodes and two
+masks.  States become tuples only at the edge: the removals of a
 refutation, ``CheckStats``, an error message and, when the abstraction
 holds, the ``StepTerm`` objects of the surviving family, built the
 first time its terms are read, with one shared frozenset per bitmask,
@@ -99,7 +113,7 @@ no class size is refused.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .abstraction import (
@@ -113,11 +127,13 @@ from .model import GlobalState, Mvn
 from .semantics import ASYNC, StateSpace, bfs, build_state_graph, path_to, tarjan
 
 # Step terms are enumerated over all nonempty subsets of a concrete
-# class, as two lists of 2^|class| ints (gamma masks and packed derived
-# sets).  Only the survivors become ``StepTerm`` objects, and only when
-# the family is first read, but every valid subset is kept as a pair of
-# ints until the sweeps end, so time and memory still grow as
-# 2^|class|; past this size a check would not finish in useful time.
+# class, as two lists of 2^|class| ints (gamma masks, listed once per
+# class size in a check, and packed derived sets).  Only the survivors
+# become ``StepTerm`` objects, and only when the family is first read,
+# and the sweeps test a state's terms only after a successor lost one,
+# but every valid subset is kept as a pair of ints until the sweeps
+# end, so time and memory still grow as 2^|class|; past this size a
+# check would not finish in useful time.
 MAX_CLASS_SIZE = 20
 
 StateSet = frozenset[GlobalState]
@@ -357,10 +373,14 @@ class _Context:
             found[mask] = _derived(self.layouts[a], mask)
         return found
 
-    def valid_subsets(self, a: int) -> dict[int, int]:
+    def valid_subsets(self, a: int, listed: dict[int, list[int]] | None = None) -> dict[int, int]:
         """``{gamma mask: packed derived sets}`` of the valid terms of
         abstract node ``a``, in the order of the gammas' ascending
         member lists, built by doubling (see the module docstring).
+
+        ``listed`` maps a class size to its gamma masks in that order; a
+        size it lacks is listed and added, so a caller that passes one
+        dict for every state lists each class size once.
         """
         size = len(self.members[a])
         if size > MAX_CLASS_SIZE:
@@ -369,13 +389,17 @@ class _Context:
                 f"subset enumeration is capped at {MAX_CLASS_SIZE}"
             )
         layout = self.layouts[a]
-        masks: list[int] = []
-        packs: list[int] = []
-        for j in reversed(range(size)):
-            bit, post = 1 << j, layout.post[j]
-            masks = [bit, *map(bit.__or__, masks), *masks]
-            packs = [post, *map(post.__or__, packs), *packs]
-        return layout.valid(zip(masks, packs))
+        if listed is None:
+            listed = {}
+        if size not in listed:
+            listed[size] = _doubled([1 << j for j in range(size)])
+        terms = zip(listed[size], _doubled(layout.post))
+        # Validity away from a point is upward closed, and at a point it
+        # asks only that no member be unsettleable: when every member is
+        # valid alone, every subset is.
+        if len(layout.valid((1 << j, p) for j, p in enumerate(layout.post))) == size:
+            return dict(terms)
+        return layout.valid(terms)
 
     def refuting_pair(self) -> tuple[GlobalState, int] | None:
         """The first bad pair of the forward search, or ``None``.
@@ -398,6 +422,15 @@ class _Context:
             if not mask & ~self.layouts[a].unsettleable:
                 return self.g1.nodes[a], mask
         return None
+
+
+def _doubled(values: Sequence[int]) -> list[int]:
+    """The OR of every nonempty subset of ``values``, in the order of the
+    subsets' ascending index lists, by doubling from the last value down."""
+    ors: list[int] = []
+    for value in reversed(values):
+        ors = [value, *map(value.__or__, ors), *ors]
+    return ors
 
 
 def _derived(layout: _Layout, mask: int) -> int:
@@ -519,12 +552,12 @@ def _closed_context(family: StepTermFamily) -> _Context:
             raise NotClosedError(f"no step terms left for abstract state {nodes[a]}")
         layout = ctx.layouts[a]
         valid = layout.valid(terms.items())
+        failed = _unrealised(layout.slots, terms, given)
         for mask, packed in terms.items():
             if mask not in valid:
                 raise NotClosedError(ctx._term(a, mask, packed).invalid_reason)
-            failed = _unrealised(layout.slots, packed, given)
-            if failed is not None:
-                s_i, t = failed
+            if mask in failed:
+                s_i, t = failed[mask]
                 raise NotClosedError(
                     f"term for {nodes[a]} needs a realisation of {nodes[s_i]} "
                     f"inside {sorted(ctx._subsets[s_i][t])}, and the family has none"
@@ -599,8 +632,10 @@ def check_asyn_abs(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> CheckResult:
     (including at initialisation); proved at the first sweep with no
     removals.  The verdict and the surviving family are independent of
     sweep order; the sweeps visit the abstract states in index order and
-    each state's gammas in the order of their ascending member lists.
-    They run on bitmasks (see the module docstring), and the check itself
+    each state's gammas in the order of their ascending member lists,
+    skipping a state none of whose successors has lost a term since its
+    last test, which changes no removal.  They run on bitmasks (see the
+    module docstring), and the check itself
     builds no ``StepTerm``: the family returned when the abstraction
     holds builds its terms the first time they are read.
     """
@@ -610,12 +645,17 @@ def check_asyn_abs(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> CheckResult:
 def _check(ctx: _Context) -> CheckResult:
     """The sweeps of :func:`check_asyn_abs` on a built context.
 
-    They change nothing that :meth:`_Context.refuting_pair` reads, so
-    one context can give both the checker's and the forward verdict.
+    Each class size's gamma masks are listed once, for this check only.
+    A sweep tests a state's terms, in one :func:`_unrealised` call, only
+    when a successor lost a term after the state's last test, counting
+    an incomplete family as lost before the first sweep.  The sweeps
+    change nothing that :meth:`_Context.refuting_pair` reads, so one
+    context can give both the checker's and the forward verdict.
     """
     nodes = ctx.g1.nodes
+    listed: dict[int, list[int]] = {}  # class size -> its gamma masks
     # alive[a]: gamma mask -> packed derived sets, one per surviving term
-    alive = [ctx.valid_subsets(a) for a in range(len(nodes))]
+    alive = [ctx.valid_subsets(a, listed) for a in range(len(nodes))]
 
     initial = sum(map(len, alive))
     max_class = max(map(len, ctx.members))
@@ -644,37 +684,53 @@ def _check(ctx: _Context) -> CheckResult:
         if not survivors:
             return failure(a, "no valid step term realises this state", 0)
 
-    iterations = 0
+    # The clock ticks once per state that loses terms: lost[b] is when b
+    # last lost one, tested[a] when a was last tested, and an incomplete
+    # family has lost terms before the first sweep.
+    out = ctx.g1.out
+    lost = [int(len(f) < (1 << len(k)) - 1) for f, k in zip(alive, ctx.members)]
+    tested = [0] * len(nodes)
+    clock = iterations = 1
     while True:
-        iterations += 1
-        removed_this_sweep = False
+        start = clock
         for a, survivors in enumerate(alive):
-            slots = ctx.layouts[a].slots
-            # In the order of the gammas' sorted member lists: deleting
-            # from a dict keeps the order of what is left.
-            for mask in list(survivors):
-                failed = _unrealised(slots, survivors[mask], alive)
-                if failed is not None:
+            if all(lost[b] <= tested[a] for b in out[a]):
+                continue
+            tested[a] = clock
+            # a reads no family of its own, so every failure is found
+            # before any is deleted; in the order of the gammas' sorted
+            # member lists, as deleting from a dict keeps what is left.
+            failed = _unrealised(ctx.layouts[a].slots, survivors, alive)
+            if failed:
+                clock += 1
+                lost[a] = clock
+                for mask, why in failed.items():
                     del survivors[mask]
-                    removals.append((a, mask, *failed))
-                    removed_this_sweep = True
-            if not survivors:
-                return failure(a, "all step terms for this state were pruned", iterations)
-        if not removed_this_sweep:
+                    removals.append((a, mask, *why))
+                if not survivors:
+                    return failure(a, "all step terms for this state were pruned", iterations)
+        if clock == start:
             break
+        iterations += 1
 
     family = StepTermFamily(ctx.mv1, ctx.mv2, ctx.phi, _LazyTerms(ctx, alive))
     return CheckResult(True, family, None, stats(iterations))
 
 
-def _unrealised(slots: tuple, packed: int, family: list[dict[int, int]]) -> tuple[int, int] | None:
-    """The closure test: ``(S_i, T(S_i))`` for a term's first derived set
-    that holds no gamma of ``family[S_i]``, or ``None``."""
-    for s_i, offset, ones in slots:
-        t = packed >> offset & ones
-        if t not in family[s_i] and not _has_submask(family[s_i], t):
-            return s_i, t
-    return None
+def _unrealised(
+    slots: tuple, terms: dict[int, int], family: list[dict[int, int]]
+) -> dict[int, tuple[int, int]]:
+    """The closure test of one state's ``terms``: ``{gamma mask: (S_i,
+    T(S_i))}``, in the order of ``terms``, for each term with a derived
+    set that holds no gamma of ``family[S_i]``, naming the first."""
+    failed = {}
+    for mask, packed in terms.items():
+        for s_i, offset, ones in slots:
+            t = packed >> offset & ones
+            if t not in family[s_i] and not _has_submask(family[s_i], t):
+                failed[mask] = s_i, t
+                break
+    return failed
 
 
 def _has_submask(family: dict[int, int], t: int) -> bool:

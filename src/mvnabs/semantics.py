@@ -401,30 +401,28 @@ def tarjan(out: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     stack: list[int] = []
     sccs: list[tuple[int, ...]] = []
     order = count()
-    # One frame per node on the depth-first path: the node and an
-    # iterator over its successors not yet examined.
+    # The frames of the depth-first path above the current node: each an
+    # ancestor and an iterator over its successors not yet examined.
     work: list[tuple[int, Iterator[int]]] = []
-
-    def enter(node: int) -> None:
-        index[node] = lowlink[node] = next(order)
-        stack.append(node)
-        work.append((node, iter(out[node])))
-
     for root in range(n):
         if index[root] >= 0:
             continue
-        enter(root)
-        while work:
-            node, successors = work[-1]
+        node, successors = root, iter(out[root])
+        index[root] = lowlink[root] = next(order)
+        stack.append(root)
+        while True:
             for child in successors:
                 if index[child] < 0:
-                    enter(child)
+                    work.append((node, successors))
+                    node, successors = child, iter(out[child])
+                    index[child] = lowlink[child] = next(order)
+                    stack.append(child)
                     break
                 if index[child] < lowlink[node]:
                     lowlink[node] = index[child]
             else:
-                work.pop()
-                if lowlink[node] == index[node]:
+                low = lowlink[node]
+                if low == index[node]:
                     scc = []
                     while True:
                         top = stack.pop()
@@ -433,10 +431,11 @@ def tarjan(out: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                         if top == node:
                             break
                     sccs.append(tuple(scc))
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[node] < lowlink[parent]:
-                        lowlink[parent] = lowlink[node]
+                if not work:
+                    break
+                node, successors = work.pop()
+                if low < lowlink[node]:
+                    lowlink[node] = low
     return sccs
 
 

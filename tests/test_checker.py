@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -753,6 +754,31 @@ def test_check_closed_matches_reference_closed():
     assert {("whole class", NotClosedError), ("empty", NotClosedError)} <= kinds
 
 
+def test_check_closed_names_the_first_bad_term(atrp, mtrp, phi_trp):
+    family = check_asyn_abs(atrp, mtrp, phi_trp).family
+    state = (0, 1, 1, 1)
+    # Valid, but pruned by the check: its set for (0, 0, 1, 1) holds no gamma.
+    unrealised = frozenset({(0, 1, 2, 1)})
+    # No concrete step realises (0, 1, 1, 1) -> (0, 0, 1, 1) from it.
+    invalid = frozenset({(0, 1, 2, 2)})
+    for bad, message in (
+        (
+            (unrealised, invalid),
+            "term for (0, 1, 1, 1) needs a realisation of (0, 0, 1, 1) "
+            "inside [(0, 0, 2, 1)], and the family has none",
+        ),
+        ((invalid, unrealised), "no concrete step realises (0, 1, 1, 1) -> (0, 0, 1, 1)"),
+    ):
+        terms = {s: list(gammas) for s, gammas in family.terms.items()}
+        terms[state] += bad
+        broken = StepTermFamily(atrp, mtrp, phi_trp, terms)
+        with pytest.raises(NotClosedError) as raised:
+            broken.check_closed()
+        assert str(raised.value) == message
+        with pytest.raises(NotClosedError, match=re.escape(message)):
+            _reference_closed(broken)
+
+
 def test_witness_path_reads_the_graphs_of_its_check(monkeypatch, apl2, pl2, rho_cro):
     family = check_asyn_abs(apl2, pl2, rho_cro).family
     calls = []
@@ -908,6 +934,101 @@ def test_mask_sweep_matches_reference_sweep(apl2, apl2_bad, pl2, rho_cro, atrp, 
         removals += result.stats.removed_terms
         classes = max(classes, result.stats.max_class_size)
     assert verdicts == {True, False} and removals > 0 and classes == 16
+
+
+def _full_sweep(mv1, mv2, phi):
+    """The sweeps of ``check_asyn_abs`` on its own tables, testing every
+    surviving term one at a time on every sweep, with no state skipped.
+
+    Returns ``(holds, stats, witness, surviving masks of each state in
+    order)``.
+    """
+    ctx = _Context(mv1, mv2, phi)
+    nodes, subsets = ctx.g1.nodes, ctx._subsets
+    alive = [ctx.valid_subsets(a) for a in range(len(nodes))]
+    initial = sum(map(len, alive))
+    removals = []
+
+    def outcome(holds, a, reason, iterations):
+        stats = CheckStats(
+            abstract_states=len(nodes),
+            max_class_size=max(map(len, ctx.members)),
+            initial_terms=initial,
+            removed_terms=len(removals),
+            iterations=iterations,
+            surviving_terms=dict(zip(nodes, map(len, alive))),
+        )
+        if holds:
+            return True, stats, None, [list(survivors) for survivors in alive]
+        witness = FailureWitness(nodes[a], reason, tuple(
+            Removal(nodes[b], subsets[b][mask], nodes[s_i], subsets[s_i][t])
+            for b, mask, s_i, t in removals
+        ))
+        return False, stats, witness, None
+
+    for a, survivors in enumerate(alive):
+        if not survivors:
+            return outcome(False, a, "no valid step term realises this state", 0)
+    iterations = 0
+    while True:
+        iterations += 1
+        removed = False
+        for a, survivors in enumerate(alive):
+            for mask in list(survivors):
+                for s_i, offset, ones in ctx.layouts[a].slots:
+                    t = survivors[mask] >> offset & ones
+                    if all(g & ~t for g in alive[s_i]):
+                        del survivors[mask]
+                        removals.append((a, mask, s_i, t))
+                        removed = True
+                        break
+            if not survivors:
+                return outcome(False, a, "all step terms for this state were pruned", iterations)
+        if not removed:
+            return outcome(True, None, None, iterations)
+
+
+def test_skipping_sweeps_match_the_full_sweep(apl2, apl2_bad, pl2, rho_cro, mtrp, phi_trp):
+    triples = [(apl2, pl2, rho_cro), (apl2_bad, pl2, rho_cro)]
+    triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
+    rng = random.Random(5)
+    triples += [random_instance(rng) for _ in range(400)]
+    triples += [_all_compressed_triple(random.Random(seed)) for seed in (33, 13, 14, 16)]
+    outcomes, iterations = set(), 0
+    for mv1, mv2, phi in triples:
+        result = check_asyn_abs(mv1, mv2, phi)
+        survivors = None
+        if result.holds:
+            # The surviving masks, read before the family builds any term.
+            survivors = [list(masks) for masks in result.family.terms._pending[1]]
+        got = (result.holds, result.stats, result.witness, survivors)
+        assert got == _full_sweep(mv1, mv2, phi)
+        outcomes.add((result.holds, bool(result.stats.removed_terms)))
+        iterations = max(iterations, result.stats.iterations)
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+    assert iterations >= 3
+
+
+def test_sweeps_test_a_state_only_after_a_successor_lost_a_term(
+    monkeypatch, apl2, pl2, rho_cro, atrp, mtrp, phi_trp
+):
+    tested = []
+    unrealised = checker._unrealised
+
+    def counting(slots, terms, family):
+        tested.append(len(terms))
+        return unrealised(slots, terms, family)
+
+    monkeypatch.setattr(checker, "_unrealised", counting)
+    # Sweeps that test every term test 8, 201 and 195,413 terms here.
+    for triple, count in (
+        ((apl2, pl2, rho_cro), 0),
+        ((atrp, mtrp, phi_trp), 61),
+        (_all_compressed_triple(random.Random(16)), 66_363),
+    ):
+        tested.clear()
+        check_asyn_abs(*triple)
+        assert sum(tested) == count
 
 
 def test_step_terms_built_only_for_the_returned_family(
