@@ -68,11 +68,8 @@ the subset tree, by doubling from the top member down: the subsets
 whose least member is j are {j}, then {j} joined to each subset above
 j, then the subsets above j.  The derived sets double alongside, so a
 class of k states costs 2^k ORs and two lists of 2^k integers, and
-the sweeps visit each state's terms in that order with no sort; a
-check lists the gamma masks of each class size once.  Validity is a
-bit test on the packed value, made on every subset only when some
-member is invalid alone: validity away from a point is upward closed,
-and at a point it asks only that no member be unsettleable.  The
+the sweeps visit each state's terms in that order with no sort.
+Validity is a bit test on the packed value of every subset.  The
 sweeps run on these integers too: a term is its gamma's bitmask and
 packed derived sets, and the derived set T(S_i) is one slot of the
 packed value, so the subset test is ``g & ~t == 0``; it looks the
@@ -85,6 +82,14 @@ holds, the ``StepTerm`` objects of the surviving family, built the
 first time its terms are read, with one shared frozenset per bitmask,
 each from the set of the mask without its lowest bit.  The 2^|class|
 walk itself remains.
+
+Each per-check cache has one owner and is built the first time it is
+read.  The context (``_Context``) owns the gamma masks of each class
+size, listed when a class of that size is first enumerated, and the
+frozenset of each bitmask, built when a term, a removal or a message
+first needs states; a holding check whose family is never read builds
+none.  The family a holding check returns owns its ``StepTerm``
+objects and drops the context when it builds them.
 
 Same-image ("stutter") steps are the concrete asynchronous graph's
 steps whose target has the image of their source, read off that graph
@@ -115,6 +120,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .abstraction import (
     AbstractionMapping,
@@ -128,12 +134,12 @@ from .semantics import ASYNC, StateSpace, bfs, build_state_graph, path_to, tarja
 
 # Step terms are enumerated over all nonempty subsets of a concrete
 # class, as two lists of 2^|class| ints (gamma masks, listed once per
-# class size in a check, and packed derived sets).  Only the survivors
-# become ``StepTerm`` objects, and only when the family is first read,
-# and the sweeps test a state's terms only after a successor lost one,
-# but every valid subset is kept as a pair of ints until the sweeps
-# end, so time and memory still grow as 2^|class|; past this size a
-# check would not finish in useful time.
+# class size by the check's context, and packed derived sets).  Only
+# the survivors become ``StepTerm`` objects, and only when the family
+# is first read, and the sweeps test a state's terms only after a
+# successor lost one, but every valid subset is kept as a pair of ints
+# until the sweeps end, so time and memory still grow as 2^|class|;
+# past this size a check would not finish in useful time.
 MAX_CLASS_SIZE = 20
 
 StateSet = frozenset[GlobalState]
@@ -251,7 +257,13 @@ class _Context:
     abstract node a (:class:`_Layout`), and ``settles[k]``, whether a
     run from node k can settle; the same-image successor lists it hands
     Tarjan are dropped when Tarjan returns, so no context keeps them.
-    The state set of each bitmask (``_subsets``) is built on first use.
+
+    The context owns two caches, each filled the first time it is read:
+    ``_gammas`` maps a class size to its gamma masks in sweep order, so
+    :meth:`valid_subsets` lists each size once per context, and
+    ``_subsets[a]`` (a :class:`_Subsets` per abstract node) gives the
+    state set of a bitmask over class(a), built only when a term, a
+    removal or a message needs states.
     """
 
     def __init__(self, mv1: Mvn, mv2: Mvn, phi: AbstractionMapping):
@@ -266,8 +278,12 @@ class _Context:
             klass = self.members[a]
             self.pos.append(len(klass))
             klass.append(k)
-        self._subsets = [_Subsets(klass, self.g2.nodes) for klass in self.members]
+        self._gammas: dict[int, list[int]] = {}
         self._sweep()
+
+    @cached_property
+    def _subsets(self) -> list[_Subsets]:
+        return [_Subsets(klass, self.g2.nodes) for klass in self.members]
 
     def _sweep(self) -> None:
         """Set ``layouts`` and ``settles`` in one pass over the SCCs of
@@ -292,9 +308,7 @@ class _Context:
             shapes.append((tuple(slots), fill, guards))
         out, images, pos = self.g2.out, self.image_index, self.pos
         # Each node's same-image successors, dropped once Tarjan returns.
-        components = tarjan(
-            [tuple(v for v in vs if images[v] == a) for vs, a in zip(out, images)]
-        )
+        components = tarjan([[v for v in vs if images[v] == a] for vs, a in zip(out, images)])
         post = [0] * len(out)
         settles = [False] * len(out)
         for comp in components:
@@ -358,6 +372,7 @@ class _Context:
         klass = {self.g2.nodes[k]: self.pos[k] for k in self.members[a]}
         found = {}
         for gamma in gammas:
+            gamma = list(gamma)  # read once: a gamma may be an iterator
             try:  # one bit per distinct member, so the sum is their OR
                 mask = sum({1 << klass[g] for g in gamma})
             except (KeyError, TypeError):  # a member outside the class or unhashable
@@ -373,14 +388,13 @@ class _Context:
             found[mask] = _derived(self.layouts[a], mask)
         return found
 
-    def valid_subsets(self, a: int, listed: dict[int, list[int]] | None = None) -> dict[int, int]:
+    def valid_subsets(self, a: int) -> dict[int, int]:
         """``{gamma mask: packed derived sets}`` of the valid terms of
         abstract node ``a``, in the order of the gammas' ascending
         member lists, built by doubling (see the module docstring).
 
-        ``listed`` maps a class size to its gamma masks in that order; a
-        size it lacks is listed and added, so a caller that passes one
-        dict for every state lists each class size once.
+        The gamma masks of a class size come from the context's
+        ``_gammas``, listed the first time a class of that size is read.
         """
         size = len(self.members[a])
         if size > MAX_CLASS_SIZE:
@@ -388,18 +402,10 @@ class _Context:
                 f"abstract state {self.g1.nodes[a]} has {size} concrete states; "
                 f"subset enumeration is capped at {MAX_CLASS_SIZE}"
             )
+        if size not in self._gammas:
+            self._gammas[size] = _doubled([1 << j for j in range(size)])
         layout = self.layouts[a]
-        if listed is None:
-            listed = {}
-        if size not in listed:
-            listed[size] = _doubled([1 << j for j in range(size)])
-        terms = zip(listed[size], _doubled(layout.post))
-        # Validity away from a point is upward closed, and at a point it
-        # asks only that no member be unsettleable: when every member is
-        # valid alone, every subset is.
-        if len(layout.valid((1 << j, p) for j, p in enumerate(layout.post))) == size:
-            return dict(terms)
-        return layout.valid(terms)
+        return layout.valid(zip(self._gammas[size], _doubled(layout.post)))
 
     def refuting_pair(self) -> tuple[GlobalState, int] | None:
         """The first bad pair of the forward search, or ``None``.
@@ -474,38 +480,37 @@ def all_step_terms(
 class _LazyTerms(Mapping):
     """The terms of a holding check's family, built on first read.
 
-    Until then it holds the check's context and the surviving
+    Until then ``_pending`` holds the check's context and the surviving
     ``{gamma mask: packed derived sets}`` of every abstract node.  The
     first read builds the whole ``{state: {gamma: StepTerm}}`` dict, in
-    the sweep order, and drops both.
+    the sweep order, as the cached ``_terms``, and drops ``_pending``.
     """
 
     def __init__(self, ctx: _Context, alive: list[dict[int, int]]):
-        self._pending: tuple[_Context, list[dict[int, int]]] | None = (ctx, alive)
-        self._terms: dict[GlobalState, dict[StateSet, StepTerm]] = {}
+        self._pending = ctx, alive
 
-    def _built(self) -> dict[GlobalState, dict[StateSet, StepTerm]]:
-        if self._pending is not None:
-            ctx, alive = self._pending
-            nodes = ctx.g1.nodes
-            self._terms = {
-                nodes[a]: {ctx._subsets[a][m]: ctx._term(a, m, p) for m, p in survivors.items()}
-                for a, survivors in enumerate(alive)
-            }
-            self._pending = None
-        return self._terms
+    @cached_property
+    def _terms(self) -> dict[GlobalState, dict[StateSet, StepTerm]]:
+        ctx, alive = self._pending
+        nodes = ctx.g1.nodes
+        terms = {
+            nodes[a]: {ctx._subsets[a][m]: ctx._term(a, m, p) for m, p in survivors.items()}
+            for a, survivors in enumerate(alive)
+        }
+        del self._pending
+        return terms
 
     def __getitem__(self, state: GlobalState) -> dict[StateSet, StepTerm]:
-        return self._built()[state]
+        return self._terms[state]
 
     def __iter__(self) -> Iterator[GlobalState]:
-        return iter(self._built())
+        return iter(self._terms)
 
     def __len__(self) -> int:
-        return len(self._built())
+        return len(self._terms)
 
     def __repr__(self) -> str:
-        return repr(self._built())
+        return repr(self._terms)
 
 
 @dataclass(frozen=True)
@@ -645,17 +650,18 @@ def check_asyn_abs(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> CheckResult:
 def _check(ctx: _Context) -> CheckResult:
     """The sweeps of :func:`check_asyn_abs` on a built context.
 
-    Each class size's gamma masks are listed once, for this check only.
-    A sweep tests a state's terms, in one :func:`_unrealised` call, only
-    when a successor lost a term after the state's last test, counting
-    an incomplete family as lost before the first sweep.  The sweeps
+    The context lists each class size's gamma masks once
+    (:meth:`_Context.valid_subsets`), and builds its bitmask-to-states
+    tables here only for a refutation's removals.  A sweep tests a
+    state's terms, in one :func:`_unrealised` call, only when a
+    successor lost a term after the state's last test, counting an
+    incomplete family as lost before the first sweep.  The sweeps
     change nothing that :meth:`_Context.refuting_pair` reads, so one
     context can give both the checker's and the forward verdict.
     """
     nodes = ctx.g1.nodes
-    listed: dict[int, list[int]] = {}  # class size -> its gamma masks
     # alive[a]: gamma mask -> packed derived sets, one per surviving term
-    alive = [ctx.valid_subsets(a, listed) for a in range(len(nodes))]
+    alive = [ctx.valid_subsets(a) for a in range(len(nodes))]
 
     initial = sum(map(len, alive))
     max_class = max(map(len, ctx.members))
@@ -673,9 +679,8 @@ def _check(ctx: _Context) -> CheckResult:
         )
 
     def failure(a: int, reason: str, iterations: int) -> CheckResult:
-        subsets = ctx._subsets
         witness = FailureWitness(nodes[a], reason, tuple(
-            Removal(nodes[b], subsets[b][mask], nodes[s_i], subsets[s_i][t])
+            Removal(nodes[b], ctx._subsets[b][mask], nodes[s_i], ctx._subsets[s_i][t])
             for b, mask, s_i, t in removals
         ))
         return CheckResult(False, None, witness, stats(iterations))

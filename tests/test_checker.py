@@ -658,6 +658,26 @@ def test_check_closed_rejects_a_gamma_outside_its_class(apl2, pl2, rho_cro):
         StepTermFamily(apl2, pl2, rho_cro, terms).check_closed()
 
 
+def test_a_gamma_is_read_once(apl2, pl2, rho_cro):
+    # A one-shot iterator as a gamma: the mask and the message both see
+    # its members, through the one gamma rule that both callers share.
+    message = r"^\[\(1, 0\)\] is not a nonempty subset of the class of \(1, 1\)$"
+    with pytest.raises(GammaOutOfClassError, match=message):
+        make_step_term(apl2, pl2, rho_cro, (1, 1), (s for s in [(1, 0)]))
+    family = check_asyn_abs(apl2, pl2, rho_cro).family
+    terms = {s: dict(v) for s, v in family.terms.items()}
+    terms[(1, 1)] = {(s for s in [(1, 0)]): None}
+    with pytest.raises(GammaOutOfClassError, match=message):
+        StepTermFamily(apl2, pl2, rho_cro, terms).check_closed()
+    # An iterator over a gamma's members is that gamma.
+    gamma = concrete_class(rho_cro, (1, 1))
+    assert make_step_term(apl2, pl2, rho_cro, (1, 1), iter(gamma)) == make_step_term(
+        apl2, pl2, rho_cro, (1, 1), gamma
+    )
+    terms = {s: {iter(g): t for g, t in v.items()} for s, v in family.terms.items()}
+    StepTermFamily(apl2, pl2, rho_cro, terms).check_closed()
+
+
 def test_check_closed_rejects_keys_that_are_not_abstract_states(apl2, pl2, rho_cro):
     terms = dict(check_asyn_abs(apl2, pl2, rho_cro).family.terms)
     for key, message in (((9, 9), "outside the state space"), ("junk", "does not have 2 levels")):
@@ -1063,6 +1083,67 @@ def test_step_terms_built_only_for_the_returned_family(
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
+def test_state_sets_built_only_for_removals_and_the_family(
+    monkeypatch, apl2, apl2_bad, pl2, rho_cro, atrp, mtrp, phi_trp
+):
+    built = []
+
+    class CountingSubsets(checker._Subsets):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(checker, "_Subsets", CountingSubsets)
+    triples = [(apl2, pl2, rho_cro), (apl2_bad, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    triples += [(c, mtrp, phi_trp) for c in enumerate_candidates(mtrp, phi_trp).models]
+    triples += [_all_compressed_triple(random.Random(seed)) for seed in (33, 13, 15)]
+    outcomes = set()
+    for mv1, mv2, phi in triples:
+        built.clear()
+        result = check_asyn_abs(mv1, mv2, phi)
+        removals = bool(result.witness and result.witness.removals)
+        states = state_space_size(mv1)
+        # One table per abstract node, built by a refutation with
+        # removals, or by the first read of a holding family, and never
+        # again.
+        assert len(built) == (states if removals else 0)
+        if result.holds:
+            list(result.family.terms.values())
+            assert len(built) == states
+            list(result.family.terms.values())
+            assert len(built) == states
+        outcomes.add((result.holds, removals))
+    # holds, refuted at initialisation and refuted while pruning
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_context_lists_each_class_size_once(monkeypatch, atrp, mtrp, phi_trp):
+    listed = []
+    doubled = checker._doubled
+
+    def counting(values):
+        listed.append(values)
+        return doubled(values)
+
+    monkeypatch.setattr(checker, "_doubled", counting)
+    for mv1, mv2, phi in ((atrp, mtrp, phi_trp), _all_compressed_triple(random.Random(16))):
+        ctx = _Context(mv1, mv2, phi)
+        sizes = [len(klass) for klass in ctx.members]
+        assert len(set(sizes)) < len(sizes)
+        posts = [layout.post for layout in ctx.layouts]
+        passes = []
+        for first in (True, False):
+            listed.clear()
+            passes.append([ctx.valid_subsets(a) for a in range(len(sizes))])
+            # one doubling of derived sets per node, plus the gamma masks
+            # of each class size on the first pass only
+            gammas = [v for v in listed if not any(v is post for post in posts)]
+            assert len(listed) == len(sizes) + len(gammas)
+            assert sorted(map(len, gammas)) == (sorted(set(sizes)) if first else [])
+        assert passes[0] == passes[1]
+        assert ctx._gammas.keys() == set(sizes)
+
+
 def test_has_submask_matches_scan():
     rng = random.Random(12)
     for _ in range(400):
@@ -1101,7 +1182,7 @@ def test_context_keeps_only_its_documented_fields(apl2, pl2, rho_cro, atrp, mtrp
     # No same-image table outlives the sweep; the refcount tests guard the graphs.
     fields = {
         "mv1", "mv2", "phi", "g1", "g2", "image_index", "members", "pos",
-        "_subsets", "settles", "layouts",
+        "_gammas", "settles", "layouts",
     }
     for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)):
         assert vars(_Context(mv1, mv2, phi)).keys() == fields

@@ -21,6 +21,7 @@ from mvnabs.modelio import (
 )
 from perfbench import workloads
 from tests.test_abstraction import MANY_CHOICES_MAP, MANY_CHOICES_SOURCE
+from tests.test_oracle import wide_triple
 from tests.test_semantics import HUGE_SOURCE
 from tests.test_traces import BRANCHY_SOURCE
 
@@ -466,6 +467,26 @@ def test_candidate_budget_exits_2(tmp_path, monkeypatch, capsys):
         "(16 choice points), over the budget of 16384\n"
     )
     assert not out_dir.exists()
+
+
+def test_class_size_budget_exits_2(tmp_path, capsys):
+    # The W2/Wide triple of test_class_size_guard: class (1, 1) has 81 states.
+    abstract, model, _ = wide_triple()
+    paths = []
+    for name, text in (
+        ("w2.mvn", serialize_model(abstract)),
+        ("wide.mvn", serialize_model(model)),
+        ("wide.map", "".join(f"{e}: 0->0," + ",".join(f"{v}->1" for v in range(1, 10)) + "\n"
+                             for e in "XY")),
+    ):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text, encoding="utf-8")
+    assert main(["check", *map(str, paths)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: abstract state (1, 1) has 81 concrete states; subset enumeration is capped at 20\n"
+    )
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
