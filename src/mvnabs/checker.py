@@ -79,17 +79,20 @@ same test.  A removal is recorded as four ints, the two nodes and two
 masks.  States become tuples only at the edge: the removals of a
 refutation, ``CheckStats``, an error message and, when the abstraction
 holds, the ``StepTerm`` objects of the surviving family, built the
-first time its terms are read, with one shared frozenset per bitmask,
-each from the set of the mask without its lowest bit.  The 2^|class|
-walk itself remains.
+first time the result's ``family`` is read, with one shared frozenset
+per bitmask, each from the set of the mask without its lowest bit.
+The 2^|class| walk itself remains.
 
 Each per-check cache has one owner and is built the first time it is
 read.  The context (``_Context``) owns the gamma masks of each class
 size, listed when a class of that size is first enumerated, and the
 frozenset of each bitmask, built when a term, a removal or a message
 first needs states; a holding check whose family is never read builds
-none.  The family a holding check returns owns its ``StepTerm``
-objects and drops the context when it builds them.
+none.  A holding :class:`CheckResult` keeps the context and the
+surviving masks until ``result.family`` is first read; that read builds
+the family, a plain dict of ``StepTerm`` objects, and drops both.  Its
+``repr`` and ``==`` cover the verdict, witness and statistics only, so
+neither builds the family; test ``holds``, not ``family is not None``.
 
 Same-image ("stutter") steps are the concrete asynchronous graph's
 steps whose target has the image of their source, read off that graph
@@ -99,9 +102,9 @@ of its stutter successors, and it can settle when it is a dead end,
 lies on a same-image cycle or has a stutter successor that can settle.
 One pass over the stutter SCCs in Tarjan's order (sinks first)
 computes both for every node, with no closure built.
-:func:`witness_path` reads only the graphs and image index of the
-context that its :meth:`~StepTermFamily.check_closed` built; it lifts a
-path by one breadth-first search on the concrete graph.
+:func:`witness_path` reads only the graphs, image index and gamma masks
+of the context that its :meth:`~StepTermFamily.check_closed` built; it
+lifts a path by one breadth-first search on the concrete graph.
 
 :func:`forward_holds` reaches the same verdict by forward subset
 construction on the same tables, as antichain-style inclusion checks do
@@ -118,9 +121,10 @@ no class size is refused.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .abstraction import (
     AbstractionMapping,
@@ -477,49 +481,13 @@ def all_step_terms(
     return [ctx._term(a, mask, packed) for mask, packed in ctx.valid_subsets(a).items()]
 
 
-class _LazyTerms(Mapping):
-    """The terms of a holding check's family, built on first read.
-
-    Until then ``_pending`` holds the check's context and the surviving
-    ``{gamma mask: packed derived sets}`` of every abstract node.  The
-    first read builds the whole ``{state: {gamma: StepTerm}}`` dict, in
-    the sweep order, as the cached ``_terms``, and drops ``_pending``.
-    """
-
-    def __init__(self, ctx: _Context, alive: list[dict[int, int]]):
-        self._pending = ctx, alive
-
-    @cached_property
-    def _terms(self) -> dict[GlobalState, dict[StateSet, StepTerm]]:
-        ctx, alive = self._pending
-        nodes = ctx.g1.nodes
-        terms = {
-            nodes[a]: {ctx._subsets[a][m]: ctx._term(a, m, p) for m, p in survivors.items()}
-            for a, survivors in enumerate(alive)
-        }
-        del self._pending
-        return terms
-
-    def __getitem__(self, state: GlobalState) -> dict[StateSet, StepTerm]:
-        return self._terms[state]
-
-    def __iter__(self) -> Iterator[GlobalState]:
-        return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __repr__(self) -> str:
-        return repr(self._terms)
-
-
 @dataclass(frozen=True)
 class StepTermFamily:
     """Surviving step terms per abstract state, plus the check inputs
     (kept so witnesses can be reconstructed).
 
-    The family :func:`check_asyn_abs` returns builds its ``StepTerm``
-    objects the first time ``terms`` is read.
+    ``terms`` of the family a holding check returns is a plain dict in
+    the sweep order; :attr:`CheckResult.family` builds it on first read.
     """
 
     mv1: Mvn
@@ -532,8 +500,9 @@ class StepTermFamily:
 
         Only keys and gammas are read, never a term's ``successors`` or
         ``valid``.  All are converted first, by :func:`make_step_term`'s
-        rule: a key that is not an abstract state raises
-        :class:`ValueError`, a gamma outside its class
+        rule: a key that is not an abstract state, or a second key that
+        names the same state (such as ``range(0, 2)`` besides ``(0, 1)``),
+        raises :class:`ValueError`, a gamma outside its class
         :class:`GammaOutOfClassError`.  Then, walking the abstract states
         in index order, :class:`NotClosedError` names the first state
         with no gamma (no key counts as empty), the first invalid term
@@ -543,15 +512,21 @@ class StepTermFamily:
         _closed_context(self)
 
 
-def _closed_context(family: StepTermFamily) -> _Context:
-    """:meth:`StepTermFamily.check_closed` on a context built for it,
-    returned when the family is closed."""
+def _closed_context(family: StepTermFamily) -> tuple[_Context, list[dict[int, int]]]:
+    """:meth:`StepTermFamily.check_closed` on a context built for it.
+
+    Returns the context and the ``{gamma mask: packed derived sets}`` it
+    tested for every abstract node when the family is closed.
+    """
     ctx = _Context(family.mv1, family.mv2, family.phi)
     nodes = ctx.g1.nodes
-    given: list[dict[int, int]] = [{} for _ in nodes]
+    keyed: dict[int, dict[int, int]] = {}
     for state, gammas in family.terms.items():
         a = ctx.g1.index(state)
-        given[a] = ctx.masks(a, gammas)
+        if a in keyed:
+            raise ValueError(f"two keys of the family name abstract state {nodes[a]}")
+        keyed[a] = ctx.masks(a, gammas)
+    given = [keyed.get(a, {}) for a in range(len(nodes))]
     for a, terms in enumerate(given):
         if not terms:
             raise NotClosedError(f"no step terms left for abstract state {nodes[a]}")
@@ -567,7 +542,7 @@ def _closed_context(family: StepTermFamily) -> _Context:
                     f"term for {nodes[a]} needs a realisation of {nodes[s_i]} "
                     f"inside {sorted(ctx._subsets[s_i][t])}, and the family has none"
                 )
-    return ctx
+    return ctx, given
 
 
 @dataclass(frozen=True)
@@ -617,14 +592,37 @@ class CheckStats:
 class CheckResult:
     """Outcome of the asynchronous abstraction check.
 
-    ``family`` is the surviving closed family when the abstraction
-    holds; ``witness`` explains the refutation otherwise.
+    ``witness`` explains a refutation.  When the abstraction holds,
+    ``family`` is the surviving closed family, built the first time it
+    is read; a refuted result's ``family`` is ``None``.  Test ``holds``,
+    not ``family is not None``, for the verdict: reading ``family``
+    builds every ``StepTerm``.  ``==`` and ``repr`` cover ``holds``,
+    ``witness`` and ``stats`` only, so neither builds the family.
     """
 
     holds: bool
-    family: StepTermFamily | None
     witness: FailureWitness | None
     stats: CheckStats
+    # [context, surviving {gamma mask: packed} per abstract node] of a
+    # holding check, dropped when ``family`` is built.
+    _pending: list = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def family(self) -> StepTermFamily | None:
+        """The surviving family as a plain ``{state: {gamma: StepTerm}}``
+        dict in the sweep order, built on the first read, which lets go
+        of the check's context; ``None`` when the abstraction fails."""
+        if not self._pending:
+            return None
+        ctx, alive = self._pending
+        # Rebound, not emptied: a copy of this result keeps its own list.
+        object.__setattr__(self, "_pending", [])
+        nodes = ctx.g1.nodes
+        terms = {
+            nodes[a]: {ctx._subsets[a][m]: ctx._term(a, m, p) for m, p in survivors.items()}
+            for a, survivors in enumerate(alive)
+        }
+        return StepTermFamily(ctx.mv1, ctx.mv2, ctx.phi, terms)
 
 
 def check_asyn_abs(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> CheckResult:
@@ -640,9 +638,9 @@ def check_asyn_abs(mv1: Mvn, mv2: Mvn, phi: AbstractionMapping) -> CheckResult:
     each state's gammas in the order of their ascending member lists,
     skipping a state none of whose successors has lost a term since its
     last test, which changes no removal.  They run on bitmasks (see the
-    module docstring), and the check itself
-    builds no ``StepTerm``: the family returned when the abstraction
-    holds builds its terms the first time they are read.
+    module docstring), and the check itself builds no ``StepTerm``: a
+    holding result builds its family the first time ``result.family`` is
+    read.  Test ``result.holds`` for the verdict.
     """
     return _check(_Context(mv1, mv2, phi))
 
@@ -652,7 +650,9 @@ def _check(ctx: _Context) -> CheckResult:
 
     The context lists each class size's gamma masks once
     (:meth:`_Context.valid_subsets`), and builds its bitmask-to-states
-    tables here only for a refutation's removals.  A sweep tests a
+    tables here only for a refutation's removals.  A holding result
+    keeps the context and the surviving masks, and builds its family from
+    them on the first ``result.family`` read.  A sweep tests a
     state's terms, in one :func:`_unrealised` call, only when a
     successor lost a term after the state's last test, counting an
     incomplete family as lost before the first sweep.  The sweeps
@@ -683,7 +683,7 @@ def _check(ctx: _Context) -> CheckResult:
             Removal(nodes[b], ctx._subsets[b][mask], nodes[s_i], ctx._subsets[s_i][t])
             for b, mask, s_i, t in removals
         ))
-        return CheckResult(False, None, witness, stats(iterations))
+        return CheckResult(False, witness, stats(iterations))
 
     for a, survivors in enumerate(alive):
         if not survivors:
@@ -718,8 +718,7 @@ def _check(ctx: _Context) -> CheckResult:
             break
         iterations += 1
 
-    family = StepTermFamily(ctx.mv1, ctx.mv2, ctx.phi, _LazyTerms(ctx, alive))
-    return CheckResult(True, family, None, stats(iterations))
+    return CheckResult(True, None, stats(iterations), [ctx, alive])
 
 
 def _unrealised(
@@ -755,7 +754,7 @@ def _has_submask(family: dict[int, int], t: int) -> bool:
 
 
 def witness_path(
-    family: StepTermFamily, gamma_path: tuple[GlobalState, ...]
+    family: StepTermFamily, gamma_path: Iterable[GlobalState]
 ) -> tuple[GlobalState, ...]:
     """Lift an abstract path to a concrete one through a closed family.
 
@@ -767,22 +766,28 @@ def witness_path(
     the current state's class keeps the position and a step onto the
     next state's class advances it.
 
+    ``gamma_path`` is read once, so it may be any iterable of states.
     The family must be closed, and the lift runs
     :meth:`StepTermFamily.check_closed` first: the search starts from
-    the family's gammas, that check is where they are checked, and
-    closure is what makes every abstract path lift.  The search reads
-    the graphs and images of the context that check built.
+    the members of the first state's gammas, that check is where they
+    are checked, and closure is what makes every abstract path lift.
+    The search reads the graphs, images and gamma masks of the context
+    that check built, not the family's keys again, and starts from the
+    members in ascending node order.
     """
+    gamma_path = tuple(gamma_path)  # read once: the path may be an iterator
     if not gamma_path:
         raise ValueError("the abstract path must contain at least one state")
-    ctx = _closed_context(family)
+    ctx, given = _closed_context(family)
     g1, g2, images = ctx.g1, ctx.g2, ctx.image_index
     steps = list(map(g1.index, gamma_path))
     for u, v, a, b in zip(gamma_path, gamma_path[1:], steps, steps[1:]):
         if b not in g1.out[a]:
             raise ValueError(f"{u} -> {v} is not an abstract asynchronous step")
     last = len(steps) - 1
-    starts = sorted(map(g2.index, set().union(*family.terms[g1.nodes[steps[0]]])))
+    # The members of the first state's tested gammas, in ascending node order.
+    union = reduce(or_, given[steps[0]])
+    starts = [k for j, k in enumerate(ctx.members[steps[0]]) if union >> j & 1]
     parents: dict[tuple[int, int], tuple[int, int] | None] = {(k, 0): None for k in starts}
 
     def successors(pair):

@@ -34,8 +34,9 @@ a tuple of states but a :class:`StateSpace`, which decodes an index on
 demand from two tables of half states, so a graph holds no tuple per
 state.  States become tuples only where they leave the module: the
 ``succ`` view, attractors, components, reachable sets and paths, each
-decoded in bulk by :meth:`StateSpace.decode`.  :meth:`StateSpace.index`
-is the one encoder, and it rejects states outside the space.
+decoded in bulk by :meth:`StateSpace.decode`.  :func:`state_index` is
+the one encoder, behind :meth:`StateSpace.index`, :func:`sync_step` and
+:func:`async_next`, and it rejects states outside the space.
 
 Attractors are the long-run behaviours: under synchronous updates the
 unique cycles that iteration eventually enters, read off the successor
@@ -112,8 +113,11 @@ def _tile(column: Sequence[int], length: int) -> Sequence[int]:
 def sync_step(model: Mvn, state: GlobalState) -> GlobalState:
     """Simultaneously update every entity via its table.
 
-    Input entities keep their current level.
+    Input entities keep their current level.  Raises
+    :class:`ValueError` for a state outside the model's state space
+    (:func:`state_index`).
     """
+    state_index(model.max_levels, state)
     return tuple(column[0] for column in _next_levels(model, list(zip(state))))
 
 
@@ -122,9 +126,12 @@ def async_next(model: Mvn, state: GlobalState) -> frozenset[GlobalState]:
 
     Input entities never propose a change, and an update that leaves the
     entity's level unchanged is not a step.  An empty result means the
-    state is a point attractor.
+    state is a point attractor.  Any sequence of levels is read as its
+    tuple; a state outside the model's state space raises
+    :class:`ValueError`, as for :func:`sync_step`.
     """
     target = sync_step(model, state)
+    state = tuple(state)
     return frozenset(
         state[:i] + (level,) + state[i + 1 :]
         for i, level in enumerate(target)
@@ -195,20 +202,26 @@ class StateSpace(Sequence):
         return [high[k // width] + low[k % width] for k in indices]
 
     def index(self, state: GlobalState) -> int:  # type: ignore[override]
-        """The index of ``state``: its mixed-radix number.
+        """The index of ``state`` (:func:`state_index`)."""
+        return state_index(self.max_levels, state)
 
-        Raises :class:`ValueError` unless ``state`` is a sequence with one
-        level (:func:`~mvnabs.model.is_level`) of each entity's range, so
-        also for ``None``, a number or any other non-sequence.
-        """
-        if not isinstance(state, Sequence) or len(state) != len(self.max_levels):
-            raise ValueError(f"state {state} does not have {len(self.max_levels)} levels")
-        k = 0
-        for level, max_level in zip(state, self.max_levels):
-            if not is_level(level, max_level):
-                raise ValueError(f"state {state} is outside the state space")
-            k = k * (max_level + 1) + level
-        return k
+
+def state_index(max_levels: Sequence[int], state: GlobalState) -> int:
+    """The index of ``state`` in the space of ``max_levels``: its
+    mixed-radix number.
+
+    Raises :class:`ValueError` unless ``state`` is a sequence with one
+    level (:func:`~mvnabs.model.is_level`) of each entity's range, so
+    also for ``None``, a number or any other non-sequence.
+    """
+    if not isinstance(state, Sequence) or len(state) != len(max_levels):
+        raise ValueError(f"state {state} does not have {len(max_levels)} levels")
+    k = 0
+    for level, max_level in zip(state, max_levels):
+        if not is_level(level, max_level):
+            raise ValueError(f"state {state} is outside the state space")
+        k = k * (max_level + 1) + level
+    return k
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import random
@@ -1020,7 +1021,7 @@ def test_skipping_sweeps_match_the_full_sweep(apl2, apl2_bad, pl2, rho_cro, mtrp
         survivors = None
         if result.holds:
             # The surviving masks, read before the family builds any term.
-            survivors = [list(masks) for masks in result.family.terms._pending[1]]
+            survivors = [list(masks) for masks in result._pending[1]]
         got = (result.holds, result.stats, result.witness, survivors)
         assert got == _full_sweep(mv1, mv2, phi)
         outcomes.add((result.holds, bool(result.stats.removed_terms)))
@@ -1232,3 +1233,119 @@ def test_holding_results_freed_by_refcount(monkeypatch, apl2, pl2, rho_cro, atrp
         assert len(graphs) == 12
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every ``StepTerm`` and ``_Subsets`` the checker builds, in order."""
+    built = []
+
+    class CountingStepTerm(StepTerm):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    class CountingSubsets(checker._Subsets):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(checker, "StepTerm", CountingStepTerm)
+    monkeypatch.setattr(checker, "_Subsets", CountingSubsets)
+    return built
+
+
+def test_repr_and_eq_of_a_holding_result_build_no_family(
+    builds, apl2, pl2, rho_cro, atrp, mtrp, phi_trp
+):
+    # The family of the seed-16 triple has 64,495 terms; a repr that
+    # printed it would be 33.9 MB of text.
+    triples = [(apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    for mv1, mv2, phi in triples + [_all_compressed_triple(random.Random(16))]:
+        result, again = check_asyn_abs(mv1, mv2, phi), check_asyn_abs(mv1, mv2, phi)
+        text = repr(result)
+        assert result.holds and result == again and builds == []
+        assert text == f"CheckResult(holds=True, witness=None, stats={result.stats!r})"
+        assert len(text) < 1000
+
+
+def test_a_holding_result_builds_its_family_once(builds, atrp, mtrp, phi_trp):
+    result = check_asyn_abs(atrp, mtrp, phi_trp)
+    assert builds == []
+    family = result.family
+    terms = [t for t in builds if isinstance(t, StepTerm)]
+    assert len(terms) == sum(result.stats.surviving_terms.values()) == 63
+    assert terms == [t for v in family.terms.values() for t in v.values()]
+    builds.clear()
+    assert result.family is family and builds == []
+
+
+def test_every_family_the_checker_returns_is_a_dict(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    triples = [(apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)]
+    rng = random.Random(5)
+    triples += [random_instance(rng) for _ in range(40)]
+    holding = 0
+    for mv1, mv2, phi in triples:
+        result = check_asyn_abs(mv1, mv2, phi)
+        if result.holds:
+            holding += 1
+            assert type(result.family.terms) is dict
+            assert all(type(v) is dict for v in result.family.terms.values())
+    assert holding > 2
+
+
+def test_a_refuted_result_has_no_family_and_builds_nothing(
+    builds, apl2_bad, pl2, rho_cro, mtrp, phi_trp
+):
+    candidate = enumerate_candidates(mtrp, phi_trp).models[2]
+    for mv1, mv2, phi in ((apl2_bad, pl2, rho_cro), (candidate, mtrp, phi_trp)):
+        result = check_asyn_abs(mv1, mv2, phi)
+        builds.clear()  # a refutation with removals builds its state sets
+        assert not result.holds and result.family is None and builds == []
+        assert repr(result) == (
+            f"CheckResult(holds=False, witness={result.witness!r}, stats={result.stats!r})"
+        )
+
+
+def test_check_closed_refuses_two_keys_for_one_state(apl2, pl2, rho_cro):
+    terms = check_asyn_abs(apl2, pl2, rho_cro).family.terms
+    # range(0, 2) is the state (0, 1).  Both orders are refused, so the
+    # verdict does not depend on which key the dict lists last.
+    message = r"^two keys of the family name abstract state \(0, 1\)$"
+    for both in ({**terms, range(0, 2): {}}, {range(0, 2): {}, **terms}):
+        family = StepTermFamily(apl2, pl2, rho_cro, both)
+        with pytest.raises(ValueError, match=message):
+            family.check_closed()
+        with pytest.raises(ValueError, match=message):
+            witness_path(family, ((0, 1),))
+
+
+def test_witness_path_reads_the_path_once(apl2, pl2, rho_cro):
+    family = check_asyn_abs(apl2, pl2, rho_cro).family
+    path = ((1, 1), (0, 1))
+    assert witness_path(family, iter(path)) == witness_path(family, path)
+    with pytest.raises(ValueError, match="^the abstract path must contain at least one state$"):
+        witness_path(family, iter(()))
+
+
+def test_witness_path_lifts_from_the_gammas_it_tested(apl2, pl2, rho_cro, atrp, mtrp, phi_trp):
+    # Keys and gammas in other forms than the family's own: a range for
+    # a state, and lists for gammas.  The lift reads what check_closed
+    # tested, so it matches the family's own lift on every edge.
+    for mv1, mv2, phi in ((apl2, pl2, rho_cro), (atrp, mtrp, phi_trp)):
+        family = check_asyn_abs(mv1, mv2, phi).family
+        recast = StepTermFamily(mv1, mv2, phi, {
+            range(0, 2) if s == (0, 1) else s: [sorted(g) for g in v]
+            for s, v in family.terms.items()
+        })
+        g1 = build_state_graph(mv1, ASYNC)
+        for u, v in sorted(g1.edge_set()) + [(s, None) for s in g1.nodes]:
+            path = (u,) if v is None else (u, v)
+            assert witness_path(recast, path) == witness_path(family, path)
+
+
+def test_a_copy_of_a_holding_result_builds_its_own_family(apl2, pl2, rho_cro):
+    result = check_asyn_abs(apl2, pl2, rho_cro)
+    copied = copy.copy(result)
+    assert result.family.terms == copied.family.terms
+    assert copied.family is not result.family and result._pending == copied._pending == []

@@ -59,6 +59,34 @@ def test_async_next(pl2, state, expected):
     assert async_next(pl2, state) == frozenset(expected)
 
 
+@pytest.mark.parametrize("step", [sync_step, async_next])
+def test_steps_refuse_a_state_with_too_many_levels(pl2, step):
+    with pytest.raises(ValueError, match=r"^state \(0, 1, 0\) does not have 2 levels$"):
+        step(pl2, (0, 1, 0))
+
+
+@pytest.mark.parametrize("step", [sync_step, async_next])
+def test_steps_refuse_a_state_outside_the_space(pl2, step):
+    with pytest.raises(ValueError, match=r"^state \(5, 5\) is outside the state space$"):
+        step(pl2, (5, 5))
+
+
+def test_steps_read_a_state_given_as_a_list(pl2):
+    assert sync_step(pl2, [0, 1]) == sync_step(pl2, (0, 1)) == (0, 2)
+    assert async_next(pl2, [0, 1]) == async_next(pl2, (0, 1)) == {(0, 2)}
+
+
+def test_state_index_is_the_state_space_encoder():
+    space = semantics.StateSpace((1, 2, 0))
+    assert [semantics.state_index((1, 2, 0), s) for s in space] == list(range(len(space)))
+    for bad in ((0, 3, 0), (0, 1), None, (0, True, 0)):
+        with pytest.raises(ValueError) as encoded:
+            semantics.state_index((1, 2, 0), bad)
+        with pytest.raises(ValueError) as indexed:
+            space.index(bad)
+        assert str(encoded.value) == str(indexed.value)
+
+
 # SHA-256 of ``export_dot`` on MTRP (an input entity, mixed levels),
 # which fixes the order of its nodes and edges.
 MTRP_DOT_SHA256 = {
